@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "beamform/echo_buffer.h"
 #include "common/contracts.h"
@@ -16,6 +17,23 @@ std::int32_t quantize_weight(double weight) {
 }
 
 void QuantizedEchoBuffer::quantize_from(const EchoBuffer& echoes) {
+  // Peak scan first, so a refused buffer leaves this one untouched. A NaN
+  // would slip past std::max and reach std::lround, and an infinite peak
+  // would zero the scale (Inf * 0), so non-finite samples are refused.
+  double peak = 0.0;
+  for (int e = 0; e < echoes.element_count(); ++e) {
+    const std::span<const float> row = echoes.row(e);
+    for (std::size_t s = 0; s < row.size(); ++s) {
+      const double v = row[s];
+      if (!std::isfinite(v)) {
+        throw ContractViolation("non-finite echo sample at element " +
+                                std::to_string(e) + ", sample " +
+                                std::to_string(s));
+      }
+      peak = std::max(peak, std::abs(v));
+    }
+  }
+
   elements_ = echoes.element_count();
   samples_ = echoes.samples_per_element();
   US3D_EXPECTS(samples_ <= simd::kQuantMaxSamples);
@@ -30,12 +48,6 @@ void QuantizedEchoBuffer::quantize_from(const EchoBuffer& echoes) {
   const std::size_t needed = static_cast<std::size_t>(elements_) * stride_;
   if (needed > data_.size()) data_.resize(needed);
 
-  double peak = 0.0;
-  for (int e = 0; e < elements_; ++e) {
-    for (const float v : echoes.row(e)) {
-      peak = std::max(peak, std::abs(static_cast<double>(v)));
-    }
-  }
   lsb_ = peak > 0.0 ? peak / 32767.0 : 0.0;
   const double scale = peak > 0.0 ? 32767.0 / peak : 0.0;
 

@@ -70,7 +70,9 @@ class QuantizedEchoBuffer {
 
   /// Re-quantizes from `echoes` (grow-only reshape). Requires
   /// samples_per_element() <= simd::kQuantMaxSamples — longer windows are
-  /// unaddressable by int16 delay indices.
+  /// unaddressable by int16 delay indices. A NaN or infinite sample is
+  /// refused with a ContractViolation naming its element and sample, and
+  /// leaves this buffer unchanged.
   void quantize_from(const EchoBuffer& echoes);
 
   int element_count() const { return elements_; }

@@ -18,7 +18,7 @@ std::int64_t saturate_or_wrap(std::int64_t raw, const Format& fmt,
   if (raw >= lo && raw <= hi) return raw;
   switch (overflow) {
     case Overflow::kSaturate:
-      return raw < lo ? lo : hi;
+      return saturate_raw(raw, lo, hi);
     case Overflow::kWrap: {
       // Two's-complement wrap over total_bits, then sign-extend if signed.
       const int bits = fmt.total_bits();
@@ -44,21 +44,17 @@ std::int64_t shift_right_rounded(std::int64_t raw, int shift,
                                  Rounding rounding) {
   if (shift == 0) return raw;
   US3D_EXPECTS(shift > 0 && shift < 63);
-  const std::int64_t one = std::int64_t{1} << shift;
-  const std::int64_t half = one >> 1;
+  const std::int64_t half = (std::int64_t{1} << shift) >> 1;
   switch (rounding) {
     case Rounding::kFloor:
       return raw >> shift;  // arithmetic shift: toward -inf
     case Rounding::kTruncate:
       return raw >= 0 ? (raw >> shift) : -((-raw) >> shift);
-    case Rounding::kHalfUp: {
-      // Round to nearest; ties away from zero.
-      if (raw >= 0) return (raw + half) >> shift;
-      return -((-raw + half) >> shift);
-    }
+    case Rounding::kHalfUp:
+      return shift_right_half_up(raw, shift);
     case Rounding::kHalfEven: {
       std::int64_t q = raw >> shift;            // floor
-      const std::int64_t rem = raw - (q << shift);  // in [0, one)
+      const std::int64_t rem = raw - (q << shift);  // in [0, 2^shift)
       if (rem > half || (rem == half && (q & 1) != 0)) ++q;
       return q;
     }

@@ -122,6 +122,31 @@ Value mul(const Value& a, const Value& b, const Format& result_fmt,
 /// same rounding as the fixed-point datapath.
 std::int64_t round_real_to_int(double value, Rounding rounding);
 
+// Raw-word helpers. Value's half-up rounding and saturation are defined
+// here, so a hot datapath that derives its shifts and clamp limits once
+// from its formats can run on plain integers and still round exactly like
+// add()/mul()/round_to_int() with the default modes.
+
+/// raw * 2^-shift rounded to nearest, ties away from zero (kHalfUp).
+/// 0 <= shift < 63; shift 0 returns raw unchanged.
+inline std::int64_t shift_right_half_up(std::int64_t raw, int shift) {
+  const std::int64_t half = (std::int64_t{1} << shift) >> 1;
+  return raw >= 0 ? (raw + half) >> shift : -((-raw + half) >> shift);
+}
+
+/// Moves raw from a grid with `shift` more fraction bits to the target
+/// grid: a right shift (shift > 0) rounds half-up, a left shift
+/// (shift < 0) is exact. -63 < shift < 63.
+inline std::int64_t align_half_up(std::int64_t raw, int shift) {
+  return shift >= 0 ? shift_right_half_up(raw, shift) : raw << -shift;
+}
+
+/// Clamps raw into [lo, hi] (kSaturate; lo/hi from Format::min_raw/max_raw).
+inline std::int64_t saturate_raw(std::int64_t raw, std::int64_t lo,
+                                 std::int64_t hi) {
+  return raw < lo ? lo : (raw > hi ? hi : raw);
+}
+
 }  // namespace us3d::fx
 
 #endif  // US3D_COMMON_FIXED_POINT_H

@@ -35,7 +35,11 @@
 // caller passes a reusable DelayPlane scratch; reshape() grows it once and
 // steady-state sweeps allocate nothing. compute_block_reference() is the
 // non-virtual per-point oracle the property tests pin every native block
-// implementation against.
+// implementation against. For the fixed-point engines (TABLEFREE,
+// TABLESTEER) the per-point do_compute() is also the readable spec: it
+// runs the hardware datapath on the fx::Value model, while the block
+// paths run the same datapath on raw integer words with every shift and
+// clamp limit derived at construction, pinned bit-for-bit to the spec.
 #ifndef US3D_DELAY_ENGINE_H
 #define US3D_DELAY_ENGINE_H
 

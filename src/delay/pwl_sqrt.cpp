@@ -107,16 +107,37 @@ double PwlSqrt::measured_max_error(std::size_t samples_per_segment) const {
 
 FixedPwlSqrt::FixedPwlSqrt(const PwlSqrt& reference, const Config& config)
     : config_(config) {
+  const int rf = config.result_format.fraction_bits;
+  const int vf = config.value_format.fraction_bits;
+  const int value_align = std::max(0, rf - vf);
+  // The raw datapath's grid changes and clamp limits depend only on the
+  // formats, so their range checks run here once (min_raw/max_raw check
+  // the word widths) instead of inside every evaluation.
+  product_shift_ = config.slope_format.fraction_bits - rf;
+  sum_shift_ = std::max(0, vf - rf);
+  US3D_EXPECTS(product_shift_ > -63 && product_shift_ < 63);
+  US3D_EXPECTS(sum_shift_ < 63 && value_align < 63);
+  product_lo_ = product_format().min_raw();
+  product_hi_ = product_format().max_raw();
+  result_lo_ = config.result_format.min_raw();
+  result_hi_ = config.result_format.max_raw();
+
   const auto& segs = reference.segments();
-  x_starts_.reserve(segs.size());
   slopes_.reserve(segs.size());
   values_.reserve(segs.size());
+  raw_segments_.reserve(segs.size());
   for (const PwlSegment& seg : segs) {
+    const fx::Value slope =
+        fx::Value::from_real(seg.slope, config.slope_format);
+    const fx::Value value =
+        fx::Value::from_real(seg.value, config.value_format);
+    slopes_.push_back(slope);
+    values_.push_back(value);
     // Hardware anchors each segment at an integer boundary (the squared
     // distances it sees are integers).
-    x_starts_.push_back(static_cast<std::int64_t>(std::floor(seg.x_start)));
-    slopes_.push_back(fx::Value::from_real(seg.slope, config.slope_format));
-    values_.push_back(fx::Value::from_real(seg.value, config.value_format));
+    raw_segments_.push_back(
+        RawSegment{static_cast<std::int64_t>(std::floor(seg.x_start)),
+                   slope.raw(), value.raw() << value_align});
   }
 }
 
@@ -133,14 +154,13 @@ fx::Value FixedPwlSqrt::evaluate_in_segment(std::int64_t x,
                                             std::size_t segment) const {
   US3D_EXPECTS(segment < slopes_.size());
   US3D_EXPECTS(x >= 0);
-  const std::int64_t dx = x - x_starts_[segment];
+  const std::int64_t dx = x - raw_segments_[segment].x_start;
   // One multiplier: c1 * dx, then one adder: + c0 (Fig. 2a). dx fits the
   // multiplier input: segments are widest at the top of the domain
   // (~2^21 sample^2 for the paper system).
   const fx::Value prod =
-      fx::mul(slopes_[segment],
-              fx::Value::from_raw(dx, fx::Format{40, 0, true}),
-              fx::Format{20, config_.result_format.fraction_bits, true});
+      fx::mul(slopes_[segment], fx::Value::from_raw(dx, kDxFormat),
+              product_format());
   return fx::add(prod, values_[segment], config_.result_format);
 }
 

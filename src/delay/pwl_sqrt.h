@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/fixed_point.h"
 
 namespace us3d::delay {
@@ -80,13 +81,54 @@ class FixedPwlSqrt {
   /// Evaluates with integer arithmetic. `x` must be a non-negative integer
   /// (squared distances in sample^2 units are integers in hardware).
   /// `segment` comes from a PwlTracker or find_segment on the reference.
+  /// This is the readable fx::Value spec of the datapath.
   fx::Value evaluate_in_segment(std::int64_t x, std::size_t segment) const;
 
+  /// The same datapath on raw words, with every shift and clamp limit
+  /// derived at construction: returns exactly
+  /// evaluate_in_segment(x, segment).raw(), in result_format.
+  std::int64_t evaluate_raw(std::int64_t x, std::size_t segment) const {
+    US3D_EXPECTS(segment < raw_segments_.size());
+    US3D_EXPECTS(x >= 0);
+    const RawSegment& seg = raw_segments_[segment];
+    const std::int64_t dx = x - seg.x_start;
+    US3D_EXPECTS(dx >= -kDxMax - 1 && dx <= kDxMax);  // multiplier width
+    const std::int64_t prod = fx::saturate_raw(
+        fx::align_half_up(seg.slope * dx, product_shift_), product_lo_,
+        product_hi_);
+    return fx::saturate_raw(
+        fx::shift_right_half_up((prod << sum_shift_) + seg.value, sum_shift_),
+        result_lo_, result_hi_);
+  }
+
  private:
+  /// Multiplier input: dx = x - x_start as a signed integer word.
+  static constexpr fx::Format kDxFormat{40, 0, true};
+  static constexpr std::int64_t kDxMax =
+      (std::int64_t{1} << kDxFormat.integer_bits) - 1;
+
+  /// One segment's LUT words as the raw datapath consumes them.
+  struct RawSegment {
+    std::int64_t x_start = 0;  ///< integer segment boundary
+    std::int64_t slope = 0;    ///< c1 raw word (slope_format)
+    std::int64_t value = 0;    ///< c0 raw word aligned to the adder grid
+  };
+
+  /// Multiplier output format: c1 * dx rounded onto the result grid.
+  fx::Format product_format() const {
+    return fx::Format{20, config_.result_format.fraction_bits, true};
+  }
+
   Config config_;
-  std::vector<std::int64_t> x_starts_;  // integer segment boundaries
   std::vector<fx::Value> slopes_;
   std::vector<fx::Value> values_;
+  std::vector<RawSegment> raw_segments_;
+  int product_shift_ = 0;  // c1*dx grid -> product grid (< 0: left shift)
+  int sum_shift_ = 0;      // adder grid -> result grid
+  std::int64_t product_lo_ = 0;
+  std::int64_t product_hi_ = 0;
+  std::int64_t result_lo_ = 0;
+  std::int64_t result_hi_ = 0;
 };
 
 }  // namespace us3d::delay

@@ -1,7 +1,5 @@
 #include "delay/pwl_tracker.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
 
 namespace us3d::delay {
@@ -9,22 +7,7 @@ namespace us3d::delay {
 PwlTracker::PwlTracker(const PwlSqrt& table) : table_(&table) {}
 
 PwlTracker::Evaluation PwlTracker::evaluate(double x) {
-  US3D_EXPECTS(x >= table_->x_min() && x <= table_->x_max());
-  const auto& segs = table_->segments();
-  int steps = 0;
-  // Step down while x is below the current segment's start.
-  while (segment_ > 0 && x < segs[segment_].x_start) {
-    --segment_;
-    ++steps;
-  }
-  // Step up while x is at or beyond the next segment's start.
-  while (segment_ + 1 < segs.size() && x >= segs[segment_ + 1].x_start) {
-    ++segment_;
-    ++steps;
-  }
-  ++evaluations_;
-  total_steps_ += steps;
-  max_steps_ = std::max(max_steps_, steps);
+  const int steps = advance(x);
   return Evaluation{table_->evaluate_in_segment(x, segment_), steps};
 }
 

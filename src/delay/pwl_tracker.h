@@ -9,8 +9,11 @@
 #ifndef US3D_DELAY_PWL_TRACKER_H
 #define US3D_DELAY_PWL_TRACKER_H
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "common/contracts.h"
 #include "delay/pwl_sqrt.h"
 
 namespace us3d::delay {
@@ -28,6 +31,30 @@ class PwlTracker {
   /// Moves the current segment toward x (one step per crossed boundary)
   /// and evaluates. x must lie inside the table domain.
   Evaluation evaluate(double x);
+
+  /// The tracking half of evaluate(): moves the segment to x's and charges
+  /// the steps to the statistics, without evaluating the PWL. Callers that
+  /// evaluate on another datapath (FixedPwlSqrt) pair it with segment().
+  /// Returns the steps taken.
+  int advance(double x) {
+    US3D_EXPECTS(x >= table_->x_min() && x <= table_->x_max());
+    const std::vector<PwlSegment>& segs = table_->segments();
+    int steps = 0;
+    // Step down while x is below the current segment's start.
+    while (segment_ > 0 && x < segs[segment_].x_start) {
+      --segment_;
+      ++steps;
+    }
+    // Step up while x is at or beyond the next segment's start.
+    while (segment_ + 1 < segs.size() && x >= segs[segment_ + 1].x_start) {
+      ++segment_;
+      ++steps;
+    }
+    ++evaluations_;
+    total_steps_ += steps;
+    max_steps_ = std::max(max_steps_, steps);
+    return steps;
+  }
 
   /// Current segment index (for pairing with FixedPwlSqrt).
   std::size_t segment() const { return segment_; }

@@ -51,28 +51,6 @@ ReferenceDelayTable::ReferenceDelayTable(
   }
 }
 
-int ReferenceDelayTable::fold_x(int ix) const {
-  US3D_EXPECTS(ix >= 0 && ix < probe_.elements_x());
-  // Mirror columns ix and (nx-1-ix) share |x|; index so that qx = 0 is the
-  // outermost column (largest |x|), matching the build loop.
-  return std::min(ix, probe_.elements_x() - 1 - ix);
-}
-
-int ReferenceDelayTable::fold_y(int iy) const {
-  US3D_EXPECTS(iy >= 0 && iy < probe_.elements_y());
-  return std::min(iy, probe_.elements_y() - 1 - iy);
-}
-
-std::size_t ReferenceDelayTable::index(int qx, int qy, int i_depth) const {
-  US3D_EXPECTS(qx >= 0 && qx < quad_x_);
-  US3D_EXPECTS(qy >= 0 && qy < quad_y_);
-  US3D_EXPECTS(i_depth >= 0 && i_depth < depths_);
-  return (static_cast<std::size_t>(qx) * static_cast<std::size_t>(quad_y_) +
-          static_cast<std::size_t>(qy)) *
-             static_cast<std::size_t>(depths_) +
-         static_cast<std::size_t>(i_depth);
-}
-
 fx::Value ReferenceDelayTable::entry(int ix, int iy, int i_depth) const {
   return entry_quad(fold_x(ix), fold_y(iy), i_depth);
 }

@@ -8,10 +8,12 @@
 #ifndef US3D_DELAY_REFERENCE_TABLE_H
 #define US3D_DELAY_REFERENCE_TABLE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/fixed_point.h"
 #include "imaging/system_config.h"
 #include "probe/directivity.h"
@@ -44,14 +46,25 @@ class ReferenceDelayTable {
   int depths() const { return depths_; }
 
   /// Quadrant index for a full-grid element column/row index. Mirror
-  /// columns share an index because |x| matches.
-  int fold_x(int ix) const;
-  int fold_y(int iy) const;
+  /// columns share an index because |x| matches; qx = 0 is the outermost
+  /// column (largest |x|), matching the build loop.
+  int fold_x(int ix) const {
+    US3D_EXPECTS(ix >= 0 && ix < probe_.elements_x());
+    return std::min(ix, probe_.elements_x() - 1 - ix);
+  }
+  int fold_y(int iy) const {
+    US3D_EXPECTS(iy >= 0 && iy < probe_.elements_y());
+    return std::min(iy, probe_.elements_y() - 1 - iy);
+  }
 
   /// Fixed-point reference delay (two-way, in echo samples) for full-grid
   /// element (ix, iy) at depth index i_depth.
   fx::Value entry(int ix, int iy, int i_depth) const;
   fx::Value entry_quad(int qx, int qy, int i_depth) const;
+  /// The raw entry_format word entry() wraps, for raw-word datapaths.
+  std::int64_t entry_raw(int ix, int iy, int i_depth) const {
+    return raw_[index(fold_x(ix), fold_y(iy), i_depth)];
+  }
   double entry_real(int ix, int iy, int i_depth) const;
 
   /// Exact (double) value the entry was quantized from.
@@ -72,7 +85,15 @@ class ReferenceDelayTable {
   const fx::Format& entry_format() const { return format_; }
 
  private:
-  std::size_t index(int qx, int qy, int i_depth) const;
+  std::size_t index(int qx, int qy, int i_depth) const {
+    US3D_EXPECTS(qx >= 0 && qx < quad_x_);
+    US3D_EXPECTS(qy >= 0 && qy < quad_y_);
+    US3D_EXPECTS(i_depth >= 0 && i_depth < depths_);
+    return (static_cast<std::size_t>(qx) * static_cast<std::size_t>(quad_y_) +
+            static_cast<std::size_t>(qy)) *
+               static_cast<std::size_t>(depths_) +
+           static_cast<std::size_t>(i_depth);
+  }
 
   imaging::SystemConfig config_;
   probe::MatrixProbe probe_;

@@ -74,31 +74,6 @@ SteeringCorrections::SteeringCorrections(const imaging::SystemConfig& config,
   }
 }
 
-int SteeringCorrections::fold_phi(int i_phi) const {
-  US3D_EXPECTS(i_phi >= 0 && i_phi < n_phi_);
-  // phi grid is symmetric: i and (n_phi-1-i) share |phi|; fold so that
-  // index 0 is the largest |phi| (matching the build loop's representative).
-  return std::min(i_phi, n_phi_ - 1 - i_phi);
-}
-
-std::size_t SteeringCorrections::x_index(int ix, int i_theta,
-                                         int i_phi_folded) const {
-  US3D_EXPECTS(ix >= 0 && ix < nx_);
-  US3D_EXPECTS(i_theta >= 0 && i_theta < n_theta_);
-  US3D_EXPECTS(i_phi_folded >= 0 && i_phi_folded < n_phi_folded_);
-  return (static_cast<std::size_t>(ix) * static_cast<std::size_t>(n_theta_) +
-          static_cast<std::size_t>(i_theta)) *
-             static_cast<std::size_t>(n_phi_folded_) +
-         static_cast<std::size_t>(i_phi_folded);
-}
-
-std::size_t SteeringCorrections::y_index(int iy, int i_phi) const {
-  US3D_EXPECTS(iy >= 0 && iy < ny_);
-  US3D_EXPECTS(i_phi >= 0 && i_phi < n_phi_);
-  return static_cast<std::size_t>(iy) * static_cast<std::size_t>(n_phi_) +
-         static_cast<std::size_t>(i_phi);
-}
-
 fx::Value SteeringCorrections::x_correction(int ix, int i_theta,
                                             int i_phi) const {
   return fx::Value::from_raw(x_raw_[x_index(ix, i_theta, fold_phi(i_phi))],

@@ -11,9 +11,11 @@
 #ifndef US3D_DELAY_STEERING_H
 #define US3D_DELAY_STEERING_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/fixed_point.h"
 #include "imaging/focal_point.h"
 #include "imaging/system_config.h"
@@ -44,6 +46,15 @@ class SteeringCorrections {
   /// Correction contribution of element row iy for elevation i_phi.
   fx::Value y_correction(int iy, int i_phi) const;
 
+  /// The raw coeff_format words x_correction()/y_correction() wrap, for
+  /// raw-word datapaths.
+  std::int64_t x_correction_raw(int ix, int i_theta, int i_phi) const {
+    return x_raw_[x_index(ix, i_theta, fold_phi(i_phi))];
+  }
+  std::int64_t y_correction_raw(int iy, int i_phi) const {
+    return y_raw_[y_index(iy, i_phi)];
+  }
+
   std::int64_t x_coefficient_count() const;
   std::int64_t y_coefficient_count() const;
   std::int64_t coefficient_count() const;
@@ -52,10 +63,28 @@ class SteeringCorrections {
   const fx::Format& coeff_format() const { return format_; }
 
  private:
-  /// Index of |phi| in the folded phi table.
-  int fold_phi(int i_phi) const;
-  std::size_t x_index(int ix, int i_theta, int i_phi_folded) const;
-  std::size_t y_index(int iy, int i_phi) const;
+  /// Index of |phi| in the folded phi table. The phi grid is symmetric:
+  /// i and (n_phi-1-i) share |phi|; index 0 is the largest |phi| (the
+  /// build loop's representative).
+  int fold_phi(int i_phi) const {
+    US3D_EXPECTS(i_phi >= 0 && i_phi < n_phi_);
+    return std::min(i_phi, n_phi_ - 1 - i_phi);
+  }
+  std::size_t x_index(int ix, int i_theta, int i_phi_folded) const {
+    US3D_EXPECTS(ix >= 0 && ix < nx_);
+    US3D_EXPECTS(i_theta >= 0 && i_theta < n_theta_);
+    US3D_EXPECTS(i_phi_folded >= 0 && i_phi_folded < n_phi_folded_);
+    return (static_cast<std::size_t>(ix) * static_cast<std::size_t>(n_theta_) +
+            static_cast<std::size_t>(i_theta)) *
+               static_cast<std::size_t>(n_phi_folded_) +
+           static_cast<std::size_t>(i_phi_folded);
+  }
+  std::size_t y_index(int iy, int i_phi) const {
+    US3D_EXPECTS(iy >= 0 && iy < ny_);
+    US3D_EXPECTS(i_phi >= 0 && i_phi < n_phi_);
+    return static_cast<std::size_t>(iy) * static_cast<std::size_t>(n_phi_) +
+           static_cast<std::size_t>(i_phi);
+  }
 
   imaging::SystemConfig config_;
   fx::Format format_;

@@ -68,7 +68,7 @@ SyntheticApertureSteerEngine::SyntheticApertureSteerEngine(
     const TableSteerConfig& ts_config)
     : config_(config),
       probe_(config.probe),
-      ts_config_(ts_config),
+      datapath_(ts_config),
       repo_(config, plan, ts_config.entry_format),
       corrections_(config, ts_config.coeff_format) {}
 
@@ -113,13 +113,13 @@ void SyntheticApertureSteerEngine::do_begin_frame(const Vec3& origin) {
 void SyntheticApertureSteerEngine::do_compute(const imaging::FocalPoint& fp,
                                               std::span<std::int32_t> out) {
   US3D_EXPECTS(out.size() == static_cast<std::size_t>(element_count()));
-  steer_compute_point(probe_, repo_.table(active_), corrections_, ts_config_,
-                      fp, out);
+  steer_compute_point(probe_, repo_.table(active_), corrections_,
+                      datapath_.config(), fp, out);
 }
 
 void SyntheticApertureSteerEngine::do_compute_block(
     const imaging::FocalBlock& block, DelayPlane& plane) {
-  steer_compute_block(probe_, repo_.table(active_), corrections_, ts_config_,
+  steer_compute_block(probe_, repo_.table(active_), corrections_, datapath_,
                       block, plane, block_cy_);
 }
 

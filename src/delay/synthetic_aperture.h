@@ -104,11 +104,11 @@ class SyntheticApertureSteerEngine final : public DelayEngine {
  private:
   imaging::SystemConfig config_;
   probe::MatrixProbe probe_;
-  TableSteerConfig ts_config_;
+  SteerDatapath datapath_;  // holds the engine's TableSteerConfig
   MultiOriginTableRepository repo_;
   SteeringCorrections corrections_;
   int active_ = 0;
-  std::vector<fx::Value> block_cy_;  // per-block y-corrections, reused
+  std::vector<std::int64_t> block_cy_;  // per-block y-corrections, reused
 };
 
 }  // namespace us3d::delay

@@ -38,6 +38,11 @@ TableFreeEngine::TableFreeEngine(const imaging::SystemConfig& config,
       pwl_(build_pwl(config, tf_config)),
       fixed_pwl_(pwl_, tf_config.fixed),
       tx_tracker_(pwl_) {
+  // The fixed-point block path adds the two legs as result_format words;
+  // below 2^51 each, the per-point path's double sum of the same words is
+  // exact, so both round identically.
+  US3D_EXPECTS(!tf_config.use_fixed_point ||
+               tf_config.fixed.result_format.total_bits() <= 51);
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
   element_pos_samples_.reserve(
       static_cast<std::size_t>(probe_.element_count()));
@@ -94,7 +99,7 @@ void TableFreeEngine::seed_trackers(const Vec3& s0) {
 }
 
 double TableFreeEngine::evaluate_path(PwlTracker& tracker, double q) const {
-  tracker.evaluate(q);
+  tracker.advance(q);
   if (tf_config_.use_fixed_point) {
     return fixed_pwl_
         .evaluate_in_segment(static_cast<std::int64_t>(q), tracker.segment())
@@ -127,6 +132,38 @@ void TableFreeEngine::do_compute(const imaging::FocalPoint& fp,
   }
 }
 
+template <typename T, typename Leg, typename Combine>
+void TableFreeEngine::sweep_block(std::vector<T>& tx_legs, DelayPlane& plane,
+                                  Leg leg, Combine combine) {
+  const std::size_t n = block_pos_.size();
+  auto clamped_q = [this](const Vec3& s, const Vec3& d) {
+    return std::clamp(squared_distance(s, d), pwl_.x_min(), pwl_.x_max());
+  };
+
+  // Transmit leg: the shared tracker walks the whole run once.
+  tx_legs.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const double q_tx = clamped_q(block_pos_[p], origin_samples_);
+    tx_tracker_.advance(q_tx);
+    tx_legs[p] = leg(q_tx, tx_tracker_.segment());
+  }
+
+  // Receive legs: each element's tracker advances once across the whole
+  // run before the next element is touched. The tracker sees the same q
+  // sequence as in the per-point sweep, so segments — and therefore delay
+  // values and step counts — are identical.
+  for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
+    PwlTracker& tracker = rx_trackers_[e];
+    const Vec3 d = element_pos_samples_[e];
+    const std::span<std::int32_t> row = plane.row(static_cast<int>(e));
+    for (std::size_t p = 0; p < n; ++p) {
+      const double q_rx = clamped_q(block_pos_[p], d);
+      tracker.advance(q_rx);
+      row[p] = combine(tx_legs[p], leg(q_rx, tracker.segment()));
+    }
+  }
+}
+
 void TableFreeEngine::do_compute_block(const imaging::FocalBlock& block,
                                        DelayPlane& plane) {
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
@@ -138,34 +175,32 @@ void TableFreeEngine::do_compute_block(const imaging::FocalBlock& block,
 
   if (pending_seek_) seed_trackers(block_pos_.front());
 
-  // Transmit leg: the shared tracker walks the whole run once.
-  block_tx_.resize(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    const double q_tx =
-        std::clamp(squared_distance(block_pos_[static_cast<std::size_t>(p)],
-                                    origin_samples_),
-                   pwl_.x_min(), pwl_.x_max());
-    block_tx_[static_cast<std::size_t>(p)] = evaluate_path(tx_tracker_, q_tx);
+  if (!tf_config_.use_fixed_point) {
+    sweep_block(
+        block_tx_, plane,
+        [this](double q, std::size_t segment) {
+          return pwl_.evaluate_in_segment(q, segment);
+        },
+        [](double t_tx, double t_rx) {
+          return static_cast<std::int32_t>(
+              fx::round_real_to_int(t_tx + t_rx, fx::Rounding::kHalfUp));
+        });
+    return;
   }
 
-  // Receive legs: each element's tracker advances once across the whole
-  // run before the next element is touched. The tracker sees the same q
-  // sequence as in the per-point sweep, so segments — and therefore delay
-  // values and step counts — are identical.
-  for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
-    PwlTracker& tracker = rx_trackers_[e];
-    const Vec3 d = element_pos_samples_[e];
-    const std::span<std::int32_t> row = plane.row(static_cast<int>(e));
-    for (int p = 0; p < n; ++p) {
-      const double q_rx = std::clamp(
-          squared_distance(block_pos_[static_cast<std::size_t>(p)], d),
-          pwl_.x_min(), pwl_.x_max());
-      const double t_rx = evaluate_path(tracker, q_rx);
-      row[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(
-          fx::round_real_to_int(block_tx_[static_cast<std::size_t>(p)] + t_rx,
-                                fx::Rounding::kHalfUp));
-    }
-  }
+  // Fixed point on raw words: both legs stay result_format words, and the
+  // per-point path's half-up rounding of their exact to_real() sum is the
+  // half-up right shift of the integer sum.
+  const int frac = fixed_pwl_.config().result_format.fraction_bits;
+  sweep_block(
+      block_tx_raw_, plane,
+      [this](double q, std::size_t segment) {
+        return fixed_pwl_.evaluate_raw(static_cast<std::int64_t>(q), segment);
+      },
+      [frac](std::int64_t tx, std::int64_t rx) {
+        return static_cast<std::int32_t>(
+            fx::shift_right_half_up(tx + rx, frac));
+      });
 }
 
 TableFreeEngine::TrackerStats TableFreeEngine::tracker_stats() const {

@@ -66,6 +66,10 @@ class TableFreeEngine final : public DelayEngine {
 
  protected:
   void do_begin_frame(const Vec3& origin) override;
+  /// The per-point spec: each leg through FixedPwlSqrt's fx::Value
+  /// datapath (evaluate_in_segment), summed as reals and rounded half-up.
+  /// compute_block_reference() runs this, and the block path is pinned to
+  /// it bit-for-bit.
   void do_compute(const imaging::FocalPoint& fp,
                   std::span<std::int32_t> out) override;
   /// Native block path — Algorithm 1's amortization made explicit: the
@@ -73,7 +77,9 @@ class TableFreeEngine final : public DelayEngine {
   /// receive tracker advances across the *whole* run before the next
   /// element is touched. Segment tracking stays incremental (the argument
   /// changes smoothly along a run), but the per-voxel re-dispatch into
-  /// every tracker is gone.
+  /// every tracker is gone. In fixed point both legs stay raw
+  /// result_format words (FixedPwlSqrt::evaluate_raw) and each delay is
+  /// their integer sum shifted right with half-up rounding.
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
@@ -82,9 +88,19 @@ class TableFreeEngine final : public DelayEngine {
   /// sample-scaled coordinates.
   static double squared_distance(const Vec3& a, const Vec3& b);
 
-  /// One PWL receive/transmit path evaluation at squared distance q using
-  /// `tracker`'s current segment (which evaluate() just advanced).
+  /// One PWL receive/transmit path evaluation at squared distance q:
+  /// advances `tracker` to q's segment, then evaluates there on the
+  /// fx::Value datapath (or in double when use_fixed_point is off).
   double evaluate_path(PwlTracker& tracker, double q) const;
+
+  /// The block sweep shared by both precisions, over block_pos_: the
+  /// transmit tracker walks the run once into `tx_legs`, then each
+  /// element's receive tracker walks it. `leg(q, segment)` evaluates one
+  /// path on the tracker's segment; `combine(tx, rx)` turns the two legs
+  /// into the echo-sample index.
+  template <typename T, typename Leg, typename Combine>
+  void sweep_block(std::vector<T>& tx_legs, DelayPlane& plane, Leg leg,
+                   Combine combine);
 
   /// Frame-start preload of every tracker's segment register at the first
   /// focal point `s0` (sample units) — the one-off seek both compute entry
@@ -104,6 +120,7 @@ class TableFreeEngine final : public DelayEngine {
   bool pending_seek_ = true;
   std::vector<Vec3> block_pos_;    // per-block scaled positions, reused
   std::vector<double> block_tx_;   // per-block transmit delays, reused
+  std::vector<std::int64_t> block_tx_raw_;  // same, result_format words
 };
 
 }  // namespace us3d::delay

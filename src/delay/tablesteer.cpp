@@ -1,5 +1,6 @@
 #include "delay/tablesteer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -58,52 +59,62 @@ void steer_compute_point(const probe::MatrixProbe& probe,
   }
 }
 
+SteerDatapath::SteerDatapath(const TableSteerConfig& config)
+    : config_(config) {
+  const int ef = config.entry_format.fraction_bits;
+  const int cf = config.coeff_format.fraction_bits;
+  const int sf = config.sum_format.fraction_bits;
+  const int frac0 = std::max(ef, cf);
+  ref_align_ = frac0 - ef;
+  cx_align_ = frac0 - cf;
+  sum0_shift_ = frac0 - sf;
+  const int frac1 = std::max(sf, cf);
+  cy_align_ = frac1 - cf;
+  sum1_shift_ = frac1 - sf;
+  sum_frac_ = sf;
+  // The rounding shifts' range checks depend only on the formats, so they
+  // run here once; min_raw/max_raw check the sum word width.
+  US3D_EXPECTS(sum0_shift_ > -63 && sum0_shift_ < 63);
+  US3D_EXPECTS(frac0 < 63 && frac1 < 63 && sum_frac_ < 63);
+  sum_lo_ = config.sum_format.min_raw();
+  sum_hi_ = config.sum_format.max_raw();
+}
+
 void steer_compute_block(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
-                         const TableSteerConfig& ts_config,
+                         const SteerDatapath& datapath,
                          const imaging::FocalBlock& block, DelayPlane& plane,
-                         std::vector<fx::Value>& cy_scratch) {
-  const int n = block.size();
+                         std::vector<std::int64_t>& cy_scratch) {
+  US3D_EXPECTS(table.entry_format() == datapath.config().entry_format);
+  US3D_EXPECTS(corrections.coeff_format() == datapath.config().coeff_format);
+  const std::size_t n = block.points.size();
   const int nx = probe.elements_x();
   const int ny = probe.elements_y();
-  cy_scratch.resize(static_cast<std::size_t>(n));
+  cy_scratch.resize(n);
   for (int iy = 0; iy < ny; ++iy) {
     // One y-correction gather per row, shared by all nx columns.
-    for (int p = 0; p < n; ++p) {
-      cy_scratch[static_cast<std::size_t>(p)] =
-          corrections.y_correction(iy, block[p].i_phi);
+    for (std::size_t p = 0; p < n; ++p) {
+      cy_scratch[p] = corrections.y_correction_raw(iy, block.points[p].i_phi);
     }
     for (int ix = 0; ix < nx; ++ix) {
       const std::span<std::int32_t> row = plane.row(probe.flat_index(ix, iy));
+      const auto delay = [&](std::int64_t ref, std::size_t p) {
+        const imaging::FocalPoint& fp = block.points[p];
+        return datapath.index(
+            ref, corrections.x_correction_raw(ix, fp.i_theta, fp.i_phi),
+            cy_scratch[p]);
+      };
       // kNappeByNappe blocks never span two nappes, so the table entry is
       // a per-element constant there; fall back to a per-point read when a
       // scanline-order block mixes depths.
       if (block.uniform_depth) {
-        const fx::Value ref = table.entry(ix, iy, block.front().i_depth);
-        for (int p = 0; p < n; ++p) {
-          const fx::Value cx =
-              corrections.x_correction(ix, block[p].i_theta, block[p].i_phi);
-          const fx::Value sum0 = fx::add(ref, cx, ts_config.sum_format);
-          const fx::Value sum1 =
-              fx::add(sum0, cy_scratch[static_cast<std::size_t>(p)],
-                      ts_config.sum_format);
-          const std::int64_t idx = sum1.round_to_int(fx::Rounding::kHalfUp);
-          row[static_cast<std::size_t>(p)] =
-              static_cast<std::int32_t>(idx < 0 ? 0 : idx);
-        }
+        const std::int64_t ref =
+            table.entry_raw(ix, iy, block.front().i_depth);
+        for (std::size_t p = 0; p < n; ++p) row[p] = delay(ref, p);
       } else {
-        for (int p = 0; p < n; ++p) {
-          const fx::Value ref = table.entry(ix, iy, block[p].i_depth);
-          const fx::Value cx =
-              corrections.x_correction(ix, block[p].i_theta, block[p].i_phi);
-          const fx::Value sum0 = fx::add(ref, cx, ts_config.sum_format);
-          const fx::Value sum1 =
-              fx::add(sum0, cy_scratch[static_cast<std::size_t>(p)],
-                      ts_config.sum_format);
-          const std::int64_t idx = sum1.round_to_int(fx::Rounding::kHalfUp);
-          row[static_cast<std::size_t>(p)] =
-              static_cast<std::int32_t>(idx < 0 ? 0 : idx);
+        for (std::size_t p = 0; p < n; ++p) {
+          row[p] = delay(table.entry_raw(ix, iy, block.points[p].i_depth), p);
         }
       }
     }
@@ -114,14 +125,14 @@ TableSteerEngine::TableSteerEngine(const imaging::SystemConfig& config,
                                    const TableSteerConfig& ts_config)
     : config_(config),
       probe_(config.probe),
-      ts_config_(ts_config),
+      datapath_(ts_config),
       table_(std::make_shared<const ReferenceDelayTable>(
           config,
           ReferenceTableConfig{.entry_format = ts_config.entry_format})),
       corrections_(config, ts_config.coeff_format) {}
 
 std::string TableSteerEngine::name() const {
-  return "TABLESTEER" + ts_config_.name_suffix();
+  return "TABLESTEER" + config().name_suffix();
 }
 
 int TableSteerEngine::element_count() const { return probe_.element_count(); }
@@ -140,12 +151,12 @@ void TableSteerEngine::do_begin_frame(const Vec3& origin) {
 void TableSteerEngine::do_compute(const imaging::FocalPoint& fp,
                                   std::span<std::int32_t> out) {
   US3D_EXPECTS(out.size() == static_cast<std::size_t>(element_count()));
-  steer_compute_point(probe_, *table_, corrections_, ts_config_, fp, out);
+  steer_compute_point(probe_, *table_, corrections_, config(), fp, out);
 }
 
 void TableSteerEngine::do_compute_block(const imaging::FocalBlock& block,
                                         DelayPlane& plane) {
-  steer_compute_block(probe_, *table_, corrections_, ts_config_, block, plane,
+  steer_compute_block(probe_, *table_, corrections_, datapath_, block, plane,
                       block_cy_);
 }
 

@@ -34,9 +34,10 @@ struct TableSteerConfig {
 };
 
 /// The Fig. 4 datapath (table read + two adds + rounding) for one focal
-/// point. Shared by TableSteerEngine and the synthetic-aperture engine,
-/// which runs the same datapath against whichever origin's table is
-/// active; steer_compute_block is the batched form of exactly this.
+/// point, on the fx::Value model. Shared by TableSteerEngine and the
+/// synthetic-aperture engine, which runs the same datapath against
+/// whichever origin's table is active. This is the readable spec the
+/// batched steer_compute_block is pinned against.
 void steer_compute_point(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
@@ -44,14 +45,57 @@ void steer_compute_point(const probe::MatrixProbe& probe,
                          const imaging::FocalPoint& fp,
                          std::span<std::int32_t> out);
 
-/// The same datapath applied to a whole block, element-outer. `cy_scratch`
-/// is reusable per-point y-correction storage (grown once).
+/// The same datapath on raw words: every alignment shift and clamp limit
+/// of steer_compute_point's chain (add, add, round_to_int half-up, clamp
+/// at 0) is derived once from a TableSteerConfig, and index() returns
+/// exactly what that chain returns for the same words.
+class SteerDatapath {
+ public:
+  explicit SteerDatapath(const TableSteerConfig& config);
+
+  const TableSteerConfig& config() const { return config_; }
+
+  /// Echo-sample index of ref (entry_format) + cx + cy (coeff_format).
+  std::int32_t index(std::int64_t ref, std::int64_t cx,
+                     std::int64_t cy) const {
+    const std::int64_t sum0 = fx::saturate_raw(
+        fx::align_half_up((ref << ref_align_) + (cx << cx_align_),
+                          sum0_shift_),
+        sum_lo_, sum_hi_);
+    const std::int64_t sum1 = fx::saturate_raw(
+        fx::shift_right_half_up((sum0 << sum1_shift_) + (cy << cy_align_),
+                                sum1_shift_),
+        sum_lo_, sum_hi_);
+    const std::int64_t idx = fx::shift_right_half_up(sum1, sum_frac_);
+    return static_cast<std::int32_t>(idx < 0 ? 0 : idx);
+  }
+
+ private:
+  TableSteerConfig config_;
+  // First adder: ref and cx aligned on the finer of their grids, then
+  // moved to the sum grid (< 0: left shift).
+  int ref_align_ = 0;
+  int cx_align_ = 0;
+  int sum0_shift_ = 0;
+  // Second adder: sum0 and cy aligned on the finer grid, then rounded
+  // back to the sum grid (sum0's alignment equals that shift).
+  int cy_align_ = 0;
+  int sum1_shift_ = 0;
+  int sum_frac_ = 0;  // sum grid -> integer echo-sample index
+  std::int64_t sum_lo_ = 0;
+  std::int64_t sum_hi_ = 0;
+};
+
+/// The datapath applied to a whole block, element-outer, on raw words.
+/// `table` and `corrections` must hold the formats `datapath` was built
+/// for. `cy_scratch` is reusable per-point y-correction storage (grown
+/// once).
 void steer_compute_block(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
-                         const TableSteerConfig& ts_config,
+                         const SteerDatapath& datapath,
                          const imaging::FocalBlock& block, DelayPlane& plane,
-                         std::vector<fx::Value>& cy_scratch);
+                         std::vector<std::int64_t>& cy_scratch);
 
 class TableSteerEngine final : public DelayEngine {
  public:
@@ -68,7 +112,7 @@ class TableSteerEngine final : public DelayEngine {
 
   const ReferenceDelayTable& reference_table() const { return *table_; }
   const SteeringCorrections& corrections() const { return corrections_; }
-  const TableSteerConfig& config() const { return ts_config_; }
+  const TableSteerConfig& config() const { return datapath_.config(); }
 
  protected:
   /// TABLESTEER assumes a constant origin on the probe's vertical axis
@@ -77,21 +121,22 @@ class TableSteerEngine final : public DelayEngine {
   void do_begin_frame(const Vec3& origin) override;
   void do_compute(const imaging::FocalPoint& fp,
                   std::span<std::int32_t> out) override;
-  /// Native block path: element-outer sweep with the per-row y-correction
-  /// gathered once per row and — on uniform-depth blocks, i.e. every
-  /// kNappeByNappe block — the reference-table entry read once per element
-  /// instead of once per (element, point).
+  /// Native block path: element-outer sweep on raw words (SteerDatapath)
+  /// with the per-row y-correction gathered once per row and — on
+  /// uniform-depth blocks, i.e. every kNappeByNappe block — the
+  /// reference-table entry read once per element instead of once per
+  /// (element, point).
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
  private:
   imaging::SystemConfig config_;
   probe::MatrixProbe probe_;
-  TableSteerConfig ts_config_;
+  SteerDatapath datapath_;  // holds the engine's TableSteerConfig
   /// Immutable after construction; shared by every clone of this engine.
   std::shared_ptr<const ReferenceDelayTable> table_;
   SteeringCorrections corrections_;
-  std::vector<fx::Value> block_cy_;  // per-block y-corrections, reused
+  std::vector<std::int64_t> block_cy_;  // per-block y-corrections, reused
 };
 
 }  // namespace us3d::delay

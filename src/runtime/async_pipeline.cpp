@@ -220,6 +220,25 @@ bool AsyncPipeline::wait_one(const VolumeSink& sink) {
   return deliver(sink, out);
 }
 
+bool AsyncPipeline::wait_for_room(const VolumeSink& sink) {
+  Output out;
+  {
+    MutexLock lock(state_mutex_);
+    // Room appears when the beamform stage pops a frame. Every popped
+    // frame is then either marked processed or fails the pipeline; both
+    // take state_mutex_ after the pop and then notify state_cv_, so a pop
+    // after the full() check below still wakes this wait.
+    while (output_.empty() && !stages_done_ &&
+           !failed_.load(std::memory_order_acquire) && input_.full()) {
+      state_cv_.wait(state_mutex_);
+    }
+    if (!take_output(out)) {
+      return !stages_done_ && !failed_.load(std::memory_order_acquire);
+    }
+  }
+  return deliver(sink, out);
+}
+
 void AsyncPipeline::flush(const VolumeSink& sink) {
   while (true) {
     Output out;

@@ -109,6 +109,14 @@ class AsyncPipeline {
   /// and drained, or pipeline failed).
   bool wait_one(const VolumeSink& sink) US3D_EXCLUDES(state_mutex_);
 
+  /// Blocking: waits until the input queue has room for try_submit() or
+  /// a finished volume is ready, delivering that volume to `sink`. Unlike
+  /// wait_one() it also returns while a compound group is still open, so
+  /// a producer holding the group's remaining frames can hand them in.
+  /// Returns false when neither will happen any more (the stream is
+  /// closed and drained, or the pipeline failed).
+  bool wait_for_room(const VolumeSink& sink) US3D_EXCLUDES(state_mutex_);
+
   /// Blocks until every insonification submitted so far has been
   /// processed through the beamform and compound stages, delivering any
   /// finished volumes to `sink` on the way (a partial compound group

@@ -142,6 +142,12 @@ class BoundedQueue {
     return items_.size();
   }
 
+  /// True when a try_push() would be refused for lack of room right now.
+  bool full() const US3D_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return items_.size() >= capacity_;
+  }
+
  private:
   void sample_depth_locked() US3D_REQUIRES(mutex_) {
     if (depth_gauge_) {

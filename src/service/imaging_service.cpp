@@ -493,13 +493,14 @@ SessionStats ImagingService::close_session(int session,
     if (!s->finished) {
       s->closing = true;
       const runtime::VolumeSink deliver = s->delivery_sink(sink);
-      // Drain the backlog *through* the pipeline: deliver one output at a
-      // time to free slots, then pump again — a healthy session sheds
-      // nothing at close.
+      // Drain the backlog *through* the pipeline: pump whenever input room
+      // frees, delivering outputs as they become ready — a healthy session
+      // sheds nothing at close. Waiting for an output alone would hang a
+      // compounding session whose open group still has frames backlogged.
       while (!s->backlog.empty() && !s->async->failed()) {
         s->pump_locked();
         if (s->backlog.empty()) break;
-        if (!s->async->wait_one(deliver)) break;
+        if (!s->async->wait_for_room(deliver)) break;
       }
       s->async->close();
       s->final_pipeline = s->async->finish(deliver);

@@ -13,8 +13,13 @@
 //  3. The parallel runtime's quantized frames are bit-identical to the
 //     serial quantized beamformer, the resolved precision is reported in
 //     PipelineStats, and quantized + per-voxel is rejected up front.
+//
+// Echo quantization also refuses non-finite samples instead of feeding
+// them to the peak scale and std::lround.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -228,6 +233,35 @@ TEST(QuantizedRuntime, PerVoxelPathIsRejected) {
                        .path = ReconstructPath::kPerVoxel,
                        .precision = simd::Precision::kQuantized}),
                ContractViolation);
+}
+
+TEST(QuantizedEchoBuffer, RefusesNonFiniteSamplesNamingThem) {
+  // NaN slips past std::max in the peak scan and an infinite peak zeroes
+  // the scale (Inf * 0 = NaN), so either would reach std::lround.
+  const imaging::SystemConfig cfg = small_cfg();
+  const auto good = acoustic::synthesize_echoes(cfg, corner_phantom(cfg));
+  QuantizedEchoBuffer q;
+  q.quantize_from(good);
+  const double lsb = q.lsb();
+  const std::vector<std::int16_t> row1(q.row(1).begin(), q.row(1).end());
+
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    EchoBuffer echoes = good;
+    echoes.row(1)[7] = bad;
+    try {
+      q.quantize_from(echoes);
+      ADD_FAILURE() << "sample " << bad << " was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("element 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("sample 7"), std::string::npos) << what;
+    }
+    // A refused buffer leaves the previous quantization in place.
+    EXPECT_EQ(q.lsb(), lsb);
+    EXPECT_TRUE(std::equal(row1.begin(), row1.end(), q.row(1).begin()));
+  }
 }
 
 }  // namespace

@@ -52,6 +52,29 @@ std::vector<EngineCase> all_engines() {
   };
 }
 
+/// The remaining datapath variants of the shipped engines: TABLEFREE in
+/// double precision and TABLESTEER at its other table widths.
+std::vector<EngineCase> datapath_variants() {
+  return {
+      {"TABLEFREE-double",
+       [] {
+         return std::make_unique<TableFreeEngine>(
+             cfg(), TableFreeConfig{.use_fixed_point = false});
+       },
+       /*any_origin=*/true},
+      {"TABLESTEER-14b",
+       [] {
+         return std::make_unique<TableSteerEngine>(cfg(),
+                                                   TableSteerConfig::bits14());
+       }},
+      {"TABLESTEER-13b",
+       [] {
+         return std::make_unique<TableSteerEngine>(cfg(),
+                                                   TableSteerConfig::bits13());
+       }},
+  };
+}
+
 void expect_planes_equal(const DelayPlane& a, const DelayPlane& b,
                          const std::string& label, int block_index) {
   ASSERT_EQ(a.element_count(), b.element_count());
@@ -99,6 +122,20 @@ TEST(ComputeBlock, MatchesOracleForEveryEngineAndOrder) {
       check_block_matches_oracle(
           *engine, Vec3{}, order,
           imaging::full_scan_range(cfg().volume, order), 17,
+          c.label + "/" + imaging::to_string(order));
+    }
+  }
+}
+
+TEST(ComputeBlock, MatchesOracleForEveryDatapathVariant) {
+  for (const EngineCase& c : datapath_variants()) {
+    for (const imaging::ScanOrder order :
+         {imaging::ScanOrder::kNappeByNappe,
+          imaging::ScanOrder::kScanlineByScanline}) {
+      auto engine = c.make();
+      check_block_matches_oracle(
+          *engine, Vec3{}, order,
+          imaging::full_scan_range(cfg().volume, order), 19,
           c.label + "/" + imaging::to_string(order));
     }
   }
@@ -201,27 +238,39 @@ TEST(ComputeBlock, PerPointAndBlockFormsInterleaveWithinAFrame) {
 TEST(ComputeBlock, TableFreeTrackerChargesIdenticalStepsOnBothPaths) {
   // The block path reorders evaluations (element-outer) but every tracker
   // sees the same argument sequence, so the stall accounting — not just
-  // the delay values — must be unchanged.
+  // the delay values — must be unchanged. The hw stall model charges
+  // these counts, on either datapath and in either scan order.
   const imaging::VolumeGrid grid(cfg().volume);
-  TableFreeEngine block_engine(cfg());
-  TableFreeEngine point_engine(cfg());
-  block_engine.begin_frame(Vec3{});
-  point_engine.begin_frame(Vec3{});
-  DelayPlane plane;
-  std::vector<std::int32_t> row(
-      static_cast<std::size_t>(point_engine.element_count()));
-  const auto order = imaging::ScanOrder::kNappeByNappe;
-  imaging::for_each_focal_block(
-      grid, order, imaging::full_scan_range(cfg().volume, order), 23,
-      [&](const imaging::FocalBlock& block) {
-        block_engine.compute_block(block, plane);
-        for (int p = 0; p < block.size(); ++p) point_engine.compute(block[p], row);
-      });
-  const auto a = block_engine.tracker_stats();
-  const auto b = point_engine.tracker_stats();
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  EXPECT_EQ(a.total_steps, b.total_steps);
-  EXPECT_EQ(a.max_steps_single_evaluation, b.max_steps_single_evaluation);
+  for (const bool fixed : {true, false}) {
+    for (const imaging::ScanOrder order :
+         {imaging::ScanOrder::kNappeByNappe,
+          imaging::ScanOrder::kScanlineByScanline}) {
+      SCOPED_TRACE(std::string(fixed ? "fixed " : "double ") +
+                   imaging::to_string(order));
+      const TableFreeConfig tf{.use_fixed_point = fixed};
+      TableFreeEngine block_engine(cfg(), tf);
+      TableFreeEngine point_engine(cfg(), tf);
+      block_engine.begin_frame(Vec3{});
+      point_engine.begin_frame(Vec3{});
+      DelayPlane plane;
+      std::vector<std::int32_t> row(
+          static_cast<std::size_t>(point_engine.element_count()));
+      imaging::for_each_focal_block(
+          grid, order, imaging::full_scan_range(cfg().volume, order), 23,
+          [&](const imaging::FocalBlock& block) {
+            block_engine.compute_block(block, plane);
+            for (int p = 0; p < block.size(); ++p) {
+              point_engine.compute(block[p], row);
+            }
+          });
+      const auto a = block_engine.tracker_stats();
+      const auto b = point_engine.tracker_stats();
+      EXPECT_GT(a.evaluations, 0);
+      EXPECT_EQ(a.evaluations, b.evaluations);
+      EXPECT_EQ(a.total_steps, b.total_steps);
+      EXPECT_EQ(a.max_steps_single_evaluation, b.max_steps_single_evaluation);
+    }
+  }
 }
 
 TEST(ComputeBlock, SyntheticApertureMatchesOracleForEveryPlannedOrigin) {

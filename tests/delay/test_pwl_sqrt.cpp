@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/contracts.h"
 #include "common/prng.h"
@@ -153,6 +155,75 @@ TEST(FixedPwlSqrt, TotalErrorVsTrueSqrtStaysSmall) {
   }
   // delta + fixed-point effects: comfortably below half a sample.
   EXPECT_LT(worst, 0.45);
+}
+
+/// evaluate_raw against the fx::Value spec on every segment: its integer
+/// start, start+1, its last integer before the next segment, and seeded
+/// interior points. Returns how many results hit result_format's maximum.
+int expect_raw_matches_value_model(const PwlSqrt& pwl,
+                                   const FixedPwlSqrt& fixed,
+                                   std::uint64_t seed) {
+  const auto& segs = pwl.segments();
+  const std::int64_t max_raw = fixed.config().result_format.max_raw();
+  SplitMix64 rng(seed);
+  int saturated = 0;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const auto first = static_cast<std::int64_t>(std::floor(segs[i].x_start));
+    const auto last =
+        i + 1 < segs.size()
+            ? static_cast<std::int64_t>(std::ceil(segs[i + 1].x_start)) - 1
+            : static_cast<std::int64_t>(pwl.x_max());
+    std::vector<std::int64_t> xs{first, first + 1, last};
+    for (int k = 0; k < 16; ++k) {
+      xs.push_back(first + static_cast<std::int64_t>(rng.next_below(
+                               static_cast<std::uint64_t>(last - first + 1))));
+    }
+    for (const std::int64_t x : xs) {
+      const std::int64_t spec = fixed.evaluate_in_segment(x, i).raw();
+      EXPECT_EQ(fixed.evaluate_raw(x, i), spec)
+          << "segment " << i << " x = " << x;
+      if (spec == max_raw) ++saturated;
+    }
+  }
+  return saturated;
+}
+
+TEST(FixedPwlSqrt, RawDatapathMatchesValueModelWithDefaultFormats) {
+  const PwlSqrt pwl = PwlSqrt::build(1.0, 2.0e7, 0.25);
+  const FixedPwlSqrt fixed(pwl, FixedPwlSqrt::Config{});
+  EXPECT_EQ(expect_raw_matches_value_model(pwl, fixed, 11), 0);
+}
+
+TEST(FixedPwlSqrt, RawDatapathMatchesValueModelWhenResultSaturates) {
+  // uQ6.6 tops out below 64 samples, far under sqrt(2e7) ~ 4472: the top
+  // segments saturate in the adder.
+  const PwlSqrt pwl = PwlSqrt::build(1.0, 2.0e7, 0.25);
+  FixedPwlSqrt::Config config;
+  config.result_format = fx::Format{6, 6, false};
+  const FixedPwlSqrt fixed(pwl, config);
+  EXPECT_GT(expect_raw_matches_value_model(pwl, fixed, 12), 0);
+}
+
+TEST(FixedPwlSqrt, RawDatapathMatchesValueModelWithCoarseLuts) {
+  // c1 and c0 coarser than the result grid: the product is shifted left
+  // and c0 is aligned up, the other direction of every grid change.
+  const PwlSqrt pwl = PwlSqrt::build(1.0, 2.0e7, 0.25);
+  FixedPwlSqrt::Config config;
+  config.slope_format = fx::Format{1, 4, false};
+  config.value_format = fx::Format{13, 3, false};
+  const FixedPwlSqrt fixed(pwl, config);
+  expect_raw_matches_value_model(pwl, fixed, 13);
+}
+
+TEST(FixedPwlSqrt, RawDatapathKeepsItsInputChecks) {
+  const PwlSqrt pwl = PwlSqrt::build(1.0, 2.0e7, 0.25);
+  const FixedPwlSqrt fixed(pwl, FixedPwlSqrt::Config{});
+  EXPECT_THROW(fixed.evaluate_raw(-1, 0), ContractViolation);
+  EXPECT_THROW(fixed.evaluate_raw(16, fixed.segment_count()),
+               ContractViolation);
+  // dx beyond the 41-bit signed multiplier input.
+  EXPECT_THROW(fixed.evaluate_raw(std::int64_t{1} << 41, 0),
+               ContractViolation);
 }
 
 TEST(FixedPwlSqrt, LutBitsScaleWithSegments) {

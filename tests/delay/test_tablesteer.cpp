@@ -7,6 +7,7 @@
 
 #include "delay/table_sizing.h"
 #include "common/contracts.h"
+#include "common/prng.h"
 #include "delay/exact.h"
 #include "delay/steering.h"
 #include "imaging/scan_order.h"
@@ -166,6 +167,75 @@ TEST(TableSteerEngine, SharesSizingWithComponents) {
             reference_table_sizing(cfg, fx::kRefDelay18).folded_entries);
   EXPECT_EQ(engine.corrections().coefficient_count(),
             steering_set_sizing(cfg, fx::kCorrection18).total_coefficients);
+}
+
+/// The spec chain SteerDatapath::index must reproduce: two fx::add into
+/// sum_format, half-up round_to_int, clamped at 0.
+std::int64_t value_chain(const fx::Value& ref, const fx::Value& cx,
+                         const fx::Value& cy, const TableSteerConfig& ts) {
+  const fx::Value sum0 = fx::add(ref, cx, ts.sum_format);
+  const fx::Value sum1 = fx::add(sum0, cy, ts.sum_format);
+  const std::int64_t idx = sum1.round_to_int(fx::Rounding::kHalfUp);
+  return idx < 0 ? 0 : idx;
+}
+
+TEST(SteerDatapath, MatchesValueChainOnEveryProbeInput) {
+  const auto cfg = imaging::scaled_system(6, 5, 9);
+  const probe::MatrixProbe probe(cfg.probe);
+  for (const TableSteerConfig& ts :
+       {TableSteerConfig::bits18(), TableSteerConfig::bits14(),
+        TableSteerConfig::bits13()}) {
+    SCOPED_TRACE(ts.name_suffix());
+    const ReferenceDelayTable table(
+        cfg, ReferenceTableConfig{.entry_format = ts.entry_format});
+    const SteeringCorrections corrections(cfg, ts.coeff_format);
+    const SteerDatapath datapath(ts);
+    for (int iy = 0; iy < probe.elements_y(); ++iy) {
+      for (int ix = 0; ix < probe.elements_x(); ++ix) {
+        for (int d = 0; d < cfg.volume.n_depth; ++d) {
+          const fx::Value ref = table.entry(ix, iy, d);
+          ASSERT_EQ(table.entry_raw(ix, iy, d), ref.raw());
+          for (int it = 0; it < cfg.volume.n_theta; ++it) {
+            for (int ip = 0; ip < cfg.volume.n_phi; ++ip) {
+              const fx::Value cx = corrections.x_correction(ix, it, ip);
+              const fx::Value cy = corrections.y_correction(iy, ip);
+              ASSERT_EQ(corrections.x_correction_raw(ix, it, ip), cx.raw());
+              ASSERT_EQ(corrections.y_correction_raw(iy, ip), cy.raw());
+              ASSERT_EQ(datapath.index(ref.raw(), cx.raw(), cy.raw()),
+                        value_chain(ref, cx, cy, ts))
+                  << "element (" << ix << "," << iy << ") depth " << d
+                  << " line (" << it << "," << ip << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SteerDatapath, MatchesValueChainAcrossWordRangesAndGridChanges) {
+  // A sum grid finer than both operands (the first adder shifts left) and
+  // a sum word narrow enough that both adders saturate, swept over seeded
+  // words spanning each operand's whole range.
+  TableSteerConfig ts;
+  ts.entry_format = fx::Format{6, 2, false};
+  ts.coeff_format = fx::Format{5, 3, true};
+  ts.sum_format = fx::Format{5, 4, true};
+  const SteerDatapath datapath(ts);
+  SplitMix64 rng(0x57ee2ull);
+  auto word = [&rng](const fx::Format& f) {
+    const auto span = static_cast<std::uint64_t>(f.max_raw() - f.min_raw());
+    return fx::Value::from_raw(
+        f.min_raw() + static_cast<std::int64_t>(rng.next_below(span + 1)), f);
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const fx::Value ref = word(ts.entry_format);
+    const fx::Value cx = word(ts.coeff_format);
+    const fx::Value cy = word(ts.coeff_format);
+    ASSERT_EQ(datapath.index(ref.raw(), cx.raw(), cy.raw()),
+              value_chain(ref, cx, cy, ts))
+        << ref.raw() << " + " << cx.raw() << " + " << cy.raw();
+  }
 }
 
 }  // namespace

@@ -374,6 +374,41 @@ TEST(ImagingService, CompoundingSessionsAccountGroupsCorrectly) {
   EXPECT_TRUE(stats.reconciles()) << stats.to_json();
 }
 
+TEST(ImagingService, CloseDrainsABackloggedPartialCompoundGroup) {
+  // Regression: the close drain used to pump again only after an output,
+  // but a K=4 session emits nothing until its group is complete. With the
+  // group's last frame still in the backlog and the input queue full, it
+  // waited forever. (ctest bounds this suite with a TIMEOUT, so a
+  // regression fails instead of hanging.)
+  ImagingService service(ServiceBudget{.worker_threads = 2,
+                                       .inflight_volumes = 4});
+  Scenario s = tiny_scenario("compound-close");
+  // Large enough that one frame takes milliseconds to beamform, so a
+  // back-to-back burst fills the depth-2 input queue.
+  s.probe_elements = 8;
+  s.n_lines = 12;
+  s.n_depth = 64;
+  s.compound_origins = 4;
+  s.queue_depth = 2;
+  const Admission a = service.open_session(s);
+  ASSERT_TRUE(a.admitted);
+  auto frames = make_frames(s, 4, 29);
+  for (EchoFrame& f : frames) service.submit(a.session, std::move(f));
+  // Only this thread pumps the backlog, so what is backlogged now is
+  // still backlogged when close_session starts.
+  const SessionStats before = service.session_stats(a.session);
+  ASSERT_LT(before.accepted + before.shed_total(), before.submitted)
+      << "precondition: part of the group must still be backlogged";
+
+  const SessionStats stats = service.close_session(a.session, kDevNull);
+  EXPECT_FALSE(stats.failed);
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.shed_total(), before.shed_total())
+      << "a healthy session sheds nothing at close";
+  EXPECT_EQ(stats.delivered_frames, 1);
+  EXPECT_TRUE(stats.reconciles()) << stats.to_json();
+}
+
 TEST(ImagingService, MidRunScrapesNeverObserveATornLedger) {
   // The stats-drain race regression test: scrape stats() continuously
   // while a session is submitting, delivering and finally closing. Every
