@@ -8,9 +8,11 @@
 // numbers are observed, not assumed). A second sweep forces each SIMD
 // backend the host can run (scalar reference, SSE2, AVX2, ...) through the
 // block path on the production TABLEFREE engine, so the explicit-SIMD
-// kernels have a voxels/s trajectory of their own. A third sweep times the
-// quantized int16 row kernels against the double kernels per backend on
-// precomputed delay planes (the block-kernel sweep the quantized-path
+// kernels have a voxels/s trajectory of their own, and the same backends
+// then time TABLEFREE's compute_block alone (its SIMD receive-row
+// kernels) in M delays/s. A third sweep times the quantized int16 row
+// kernels against the double kernels per backend on precomputed delay
+// planes (the block-kernel sweep the quantized-path
 // acceptance criterion is judged on), reports the one-off echo
 // quantization cost separately, and gauges the quantized pipeline's
 // deviation from the exact double volume against its declared error
@@ -19,6 +21,7 @@
 // Usage: bench_a11_block_kernel [--tiny]
 //   --tiny shrinks the workload for CI smoke runs (seconds, not minutes).
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -247,6 +250,66 @@ int main(int argc, char** argv) {
   }
   simd_table.print(std::cout);
 
+  // Per-backend sweep of TABLEFREE's receive-row kernels: compute_block
+  // alone (delay generation, no DAS) over the whole volume. The engine
+  // resolves its row kernel per block from US3D_SIMD, so each row forces
+  // the variable to its backend for the sweep (restored afterwards).
+  // Delays are bit-identical on every backend (tests/simd/
+  // test_pwl_row.cpp); only the rate differs.
+  std::cout << "\nTABLEFREE compute_block sweep (delay generation only, "
+               "fixed-point receive rows):\n\n";
+  const int delay_block_points =
+      beamform::Beamformer::auto_block_points(probe.element_count());
+  const double delays_per_sweep =
+      static_cast<double>(voxels) * probe.element_count();
+  const double delay_budget_s = tiny ? 0.05 : 0.5;
+  const char* env_simd = std::getenv("US3D_SIMD");
+  const std::string saved_simd = env_simd != nullptr ? env_simd : "";
+  MarkdownTable delay_table({"backend", "M delays/s", "vs scalar"});
+  std::ostringstream delay_json;
+  double scalar_mdelays = 0.0;
+  for (const simd::DasBackend backend : sweep) {
+    ::setenv("US3D_SIMD", simd::backend_name(backend), 1);
+    delay::TableFreeEngine engine(cfg);
+    delay::DelayPlane plane;
+    auto sweep_volume = [&] {
+      engine.begin_frame(Vec3{});
+      imaging::for_each_focal_block(
+          grid, imaging::ScanOrder::kNappeByNappe,
+          imaging::full_scan_range(cfg.volume,
+                                   imaging::ScanOrder::kNappeByNappe),
+          delay_block_points, [&](const imaging::FocalBlock& block) {
+            engine.compute_block(block, plane);
+          });
+    };
+    sweep_volume();  // warm-up
+    int sweeps = 0;
+    double seconds = 0.0;
+    const auto t0 = Clock::now();
+    do {
+      sweep_volume();
+      ++sweeps;
+      seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (seconds < delay_budget_s);
+    if (env_simd != nullptr) {
+      ::setenv("US3D_SIMD", saved_simd.c_str(), 1);
+    } else {
+      ::unsetenv("US3D_SIMD");
+    }
+    const double mdelays = delays_per_sweep * sweeps / seconds / 1e6;
+    if (backend == simd::DasBackend::kScalar) scalar_mdelays = mdelays;
+    const double speedup =
+        scalar_mdelays > 0.0 ? mdelays / scalar_mdelays : 0.0;
+    delay_table.add_row({simd::backend_name(backend),
+                         format_double(mdelays, 1),
+                         format_double(speedup, 2) + "x"});
+    if (delay_json.tellp() > 0) delay_json << ',';
+    delay_json << "{\"backend\":\"" << simd::backend_name(backend)
+               << "\",\"mdelays_per_second\":" << mdelays
+               << ",\"speedup\":" << speedup << '}';
+  }
+  delay_table.print(std::cout);
+
   // Quantized block-kernel sweep: double vs int16 row kernels per backend,
   // on delay planes precomputed (and pre-quantized) outside the timed
   // region — pure kernel throughput, which is what the int16 path's
@@ -389,6 +452,7 @@ int main(int argc, char** argv) {
        << ",\"engines\":[" << engines_json.str() << ']'
        << ",\"simd_selected\":\"" << simd::backend_name(selected) << '"'
        << ",\"simd_backends\":[" << simd_json.str() << ']'
+       << ",\"delay_backends\":[" << delay_json.str() << ']'
        << ",\"quantized\":{\"weight_frac_bits\":" << simd::kQuantWeightFracBits
        << ",\"kernel_backends\":[" << q_json.str() << ']'
        << ",\"quantize_echo_seconds\":" << quantize_echo_seconds

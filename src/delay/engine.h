@@ -29,7 +29,10 @@
 // one virtual dispatch per run instead of per voxel, per-element state
 // advanced once across the whole run (TABLEFREE's PWL trackers walk their
 // segment monotonically along a smooth run — exactly Algorithm 1's
-// intention), and per-block invariants hoisted out of inner loops
+// intention; since a segment is a function of its argument alone, the
+// fixed-point receive rows run lane-parallel through the simd::PwlRowFn
+// kernels and charge each tracker once per run), and per-block
+// invariants hoisted out of inner loops
 // (TABLESTEER reads its reference-table entry once per element when the
 // block's depth is uniform, which kNappeByNappe blocks always are). The
 // caller passes a reusable DelayPlane scratch; reshape() grows it once and

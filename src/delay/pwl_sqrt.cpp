@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.h"
 
 namespace us3d::delay {
 
 namespace {
+
+/// The row kernels' int32 lane range (see FixedPwlSqrt::row_table).
+constexpr std::int64_t kLane32 = std::int64_t{1} << 31;
 
 /// Maximum deviation between sqrt and its chord on [a, b]. For the concave
 /// sqrt, the worst point x* satisfies f'(x*) = chord slope, i.e.
@@ -25,7 +29,10 @@ double chord_deviation(double a, double b) {
 PwlSqrt::PwlSqrt(std::vector<PwlSegment> segments, double x_min, double x_max,
                  double delta)
     : segments_(std::move(segments)), x_min_(x_min), x_max_(x_max),
-      delta_(delta) {}
+      delta_(delta) {
+  starts_.reserve(segments_.size());
+  for (const PwlSegment& seg : segments_) starts_.push_back(seg.x_start);
+}
 
 PwlSqrt PwlSqrt::build(double x_min, double x_max, double delta) {
   US3D_EXPECTS(x_min > 0.0);
@@ -71,11 +78,7 @@ PwlSqrt PwlSqrt::build(double x_min, double x_max, double delta) {
 
 std::size_t PwlSqrt::find_segment(double x) const {
   US3D_EXPECTS(x >= x_min_ && x <= x_max_);
-  // First segment whose start is > x, minus one.
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), x,
-      [](double v, const PwlSegment& seg) { return v < seg.x_start; });
-  return static_cast<std::size_t>(std::distance(segments_.begin(), it)) - 1;
+  return simd::pwl_find_segment(starts_.data(), starts_.size(), x);
 }
 
 double PwlSqrt::evaluate_in_segment(double x, std::size_t segment) const {
@@ -125,7 +128,6 @@ FixedPwlSqrt::FixedPwlSqrt(const PwlSqrt& reference, const Config& config)
   const auto& segs = reference.segments();
   slopes_.reserve(segs.size());
   values_.reserve(segs.size());
-  raw_segments_.reserve(segs.size());
   for (const PwlSegment& seg : segs) {
     const fx::Value slope =
         fx::Value::from_real(seg.slope, config.slope_format);
@@ -135,10 +137,39 @@ FixedPwlSqrt::FixedPwlSqrt(const PwlSqrt& reference, const Config& config)
     values_.push_back(value);
     // Hardware anchors each segment at an integer boundary (the squared
     // distances it sees are integers).
-    raw_segments_.push_back(
-        RawSegment{static_cast<std::int64_t>(std::floor(seg.x_start)),
-                   slope.raw(), value.raw() << value_align});
+    x_start_.push_back(static_cast<std::int64_t>(std::floor(seg.x_start)));
+    slope_raw_.push_back(slope.raw());
+    value_raw_.push_back(value.raw() << value_align);
   }
+
+  // The word half of the row kernels' operand bounds
+  // (simd::PwlRowTable::vector_bounded): with non-negative anchors below
+  // 2^31 and q < 2^31 (the domain half, row_table()), int64(q) and dx fit
+  // int32 lanes; c1 in [0, 2^31) makes c1*dx a 32x32->64 multiply; with
+  // c0 >= 0 and a right-shifting product every word is non-negative, so
+  // logical shifts round half-up.
+  static_assert(kDxMax >= kLane32 - 1, "dx in [0, 2^31) needs no check");
+  constexpr std::int64_t kWordMax = std::numeric_limits<std::int64_t>::max();
+  auto all_in = [](const std::vector<std::int64_t>& words, std::int64_t lo,
+                   std::int64_t hi) {
+    return std::all_of(words.begin(), words.end(), [&](std::int64_t w) {
+      return w >= lo && w <= hi;
+    });
+  };
+  words_bounded_ = product_shift_ >= 0 && all_in(x_start_, 0, kLane32 - 1) &&
+                   all_in(slope_raw_, 0, kLane32 - 1) &&
+                   all_in(value_raw_, 0, kWordMax);
+}
+
+simd::PwlRowTable FixedPwlSqrt::row_table(const PwlSqrt& reference) const {
+  US3D_EXPECTS(reference.segment_count() == x_start_.size());
+  simd::PwlRowTable t = raw_table();
+  t.boundary = reference.starts().data();
+  t.x_min = reference.x_min();
+  t.x_max = reference.x_max();
+  t.vector_bounded =
+      words_bounded_ && reference.x_max() < static_cast<double>(kLane32);
+  return t;
 }
 
 double FixedPwlSqrt::lut_bits() const {
@@ -154,7 +185,7 @@ fx::Value FixedPwlSqrt::evaluate_in_segment(std::int64_t x,
                                             std::size_t segment) const {
   US3D_EXPECTS(segment < slopes_.size());
   US3D_EXPECTS(x >= 0);
-  const std::int64_t dx = x - raw_segments_[segment].x_start;
+  const std::int64_t dx = x - x_start_[segment];
   // One multiplier: c1 * dx, then one adder: + c0 (Fig. 2a). dx fits the
   // multiplier input: segments are widest at the top of the domain
   // (~2^21 sample^2 for the paper system).

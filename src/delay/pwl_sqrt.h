@@ -14,6 +14,8 @@
 
 #include "common/contracts.h"
 #include "common/fixed_point.h"
+#include "simd/dispatch.h"
+#include "simd/pwl_row.h"
 
 namespace us3d::delay {
 
@@ -34,6 +36,9 @@ class PwlSqrt {
 
   std::size_t segment_count() const { return segments_.size(); }
   const std::vector<PwlSegment>& segments() const { return segments_; }
+  /// The segment starts as one contiguous array (segments()[i].x_start):
+  /// what the tracker's comparators and the receive-row kernels scan.
+  const std::vector<double>& starts() const { return starts_; }
   double x_min() const { return x_min_; }
   double x_max() const { return x_max_; }
   double delta() const { return delta_; }
@@ -54,6 +59,7 @@ class PwlSqrt {
   PwlSqrt(std::vector<PwlSegment> segments, double x_min, double x_max,
           double delta);
   std::vector<PwlSegment> segments_;
+  std::vector<double> starts_;
   double x_min_ = 0.0;
   double x_max_ = 0.0;
   double delta_ = 0.0;
@@ -88,18 +94,15 @@ class FixedPwlSqrt {
   /// derived at construction: returns exactly
   /// evaluate_in_segment(x, segment).raw(), in result_format.
   std::int64_t evaluate_raw(std::int64_t x, std::size_t segment) const {
-    US3D_EXPECTS(segment < raw_segments_.size());
-    US3D_EXPECTS(x >= 0);
-    const RawSegment& seg = raw_segments_[segment];
-    const std::int64_t dx = x - seg.x_start;
-    US3D_EXPECTS(dx >= -kDxMax - 1 && dx <= kDxMax);  // multiplier width
-    const std::int64_t prod = fx::saturate_raw(
-        fx::align_half_up(seg.slope * dx, product_shift_), product_lo_,
-        product_hi_);
-    return fx::saturate_raw(
-        fx::shift_right_half_up((prod << sum_shift_) + seg.value, sum_shift_),
-        result_lo_, result_hi_);
+    return simd::pwl_evaluate_raw(raw_table(), x, segment);
   }
+
+  /// The raw datapath as the TABLEFREE receive-row kernels read it: this
+  /// object's segment words and construction-time shifts, limits and
+  /// operand bounds, plus the segment starts and q domain of `reference`
+  /// (the table this one quantizes). A view, valid while both live
+  /// (simd/dispatch.h).
+  simd::PwlRowTable row_table(const PwlSqrt& reference) const;
 
  private:
   /// Multiplier input: dx = x - x_start as a signed integer word.
@@ -107,28 +110,45 @@ class FixedPwlSqrt {
   static constexpr std::int64_t kDxMax =
       (std::int64_t{1} << kDxFormat.integer_bits) - 1;
 
-  /// One segment's LUT words as the raw datapath consumes them.
-  struct RawSegment {
-    std::int64_t x_start = 0;  ///< integer segment boundary
-    std::int64_t slope = 0;    ///< c1 raw word (slope_format)
-    std::int64_t value = 0;    ///< c0 raw word aligned to the adder grid
-  };
-
   /// Multiplier output format: c1 * dx rounded onto the result grid.
   fx::Format product_format() const {
     return fx::Format{20, config_.result_format.fraction_bits, true};
   }
 
+  /// row_table() without the segment starts and domain: all that
+  /// evaluate_raw reads.
+  simd::PwlRowTable raw_table() const {
+    return simd::PwlRowTable{.x_start = x_start_.data(),
+                             .slope = slope_raw_.data(),
+                             .value = value_raw_.data(),
+                             .count = x_start_.size(),
+                             .dx_max = kDxMax,
+                             .product_shift = product_shift_,
+                             .sum_shift = sum_shift_,
+                             .result_frac_bits =
+                                 config_.result_format.fraction_bits,
+                             .product_lo = product_lo_,
+                             .product_hi = product_hi_,
+                             .result_lo = result_lo_,
+                             .result_hi = result_hi_};
+  }
+
   Config config_;
   std::vector<fx::Value> slopes_;
   std::vector<fx::Value> values_;
-  std::vector<RawSegment> raw_segments_;
+  // Per-segment words of the raw datapath, SoA for the row kernels.
+  std::vector<std::int64_t> x_start_;  // integer segment anchors
+  std::vector<std::int64_t> slope_raw_;  // c1 raw words (slope_format)
+  std::vector<std::int64_t> value_raw_;  // c0 raw words on the adder grid
   int product_shift_ = 0;  // c1*dx grid -> product grid (< 0: left shift)
   int sum_shift_ = 0;      // adder grid -> result grid
   std::int64_t product_lo_ = 0;
   std::int64_t product_hi_ = 0;
   std::int64_t result_lo_ = 0;
   std::int64_t result_hi_ = 0;
+  // The word half of simd::PwlRowTable::vector_bounded (row_table() adds
+  // the domain's).
+  bool words_bounded_ = false;
 };
 
 }  // namespace us3d::delay

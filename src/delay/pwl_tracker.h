@@ -15,6 +15,7 @@
 
 #include "common/contracts.h"
 #include "delay/pwl_sqrt.h"
+#include "simd/pwl_row.h"
 
 namespace us3d::delay {
 
@@ -38,22 +39,32 @@ class PwlTracker {
   /// Returns the steps taken.
   int advance(double x) {
     US3D_EXPECTS(x >= table_->x_min() && x <= table_->x_max());
-    const std::vector<PwlSegment>& segs = table_->segments();
-    int steps = 0;
-    // Step down while x is below the current segment's start.
-    while (segment_ > 0 && x < segs[segment_].x_start) {
-      --segment_;
-      ++steps;
-    }
-    // Step up while x is at or beyond the next segment's start.
-    while (segment_ + 1 < segs.size() && x >= segs[segment_ + 1].x_start) {
-      ++segment_;
-      ++steps;
-    }
+    const std::vector<double>& starts = table_->starts();
+    const std::size_t from = segment_;
+    segment_ =
+        simd::pwl_walk_segment(starts.data(), starts.size(), segment_, x);
+    const int steps =
+        static_cast<int>(segment_ > from ? segment_ - from : from - segment_);
     ++evaluations_;
     total_steps_ += steps;
     max_steps_ = std::max(max_steps_, steps);
     return steps;
+  }
+
+  /// Charges a run of `evaluations` advance() calls evaluated elsewhere
+  /// (the TABLEFREE receive-row kernels): the run ended on `segment`,
+  /// crossed `steps` boundaries in total and at most `max_step` in one
+  /// evaluation. Because advance(x) lands on x's segment from anywhere,
+  /// these are exactly the statistics the run's advance() calls would
+  /// have charged.
+  void charge_run(std::int64_t evaluations, std::size_t segment,
+                  std::int64_t steps, int max_step) {
+    US3D_EXPECTS(segment < table_->segment_count());
+    US3D_EXPECTS(evaluations >= 0 && steps >= 0 && max_step >= 0);
+    segment_ = segment;
+    evaluations_ += evaluations;
+    total_steps_ += steps;
+    max_steps_ = std::max(max_steps_, max_step);
   }
 
   /// Current segment index (for pairing with FixedPwlSqrt).

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.h"
+#include "simd/dispatch.h"
 
 namespace us3d::delay {
 
@@ -81,19 +82,16 @@ void TableFreeEngine::do_begin_frame(const Vec3& origin) {
   pending_seek_ = true;
 }
 
-double TableFreeEngine::squared_distance(const Vec3& a, const Vec3& b) {
-  return (a - b).norm_squared();
+double TableFreeEngine::clamped_q(const Vec3& a, const Vec3& b) const {
+  return std::clamp((a - b).norm_squared(), pwl_.x_min(), pwl_.x_max());
 }
 
 void TableFreeEngine::seed_trackers(const Vec3& s0) {
   // At frame start the control logic preloads each unit's segment
   // register (a one-off seek, not charged as stall cycles).
-  tx_tracker_.seek(std::clamp(squared_distance(s0, origin_samples_),
-                              pwl_.x_min(), pwl_.x_max()));
+  tx_tracker_.seek(clamped_q(s0, origin_samples_));
   for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
-    rx_trackers_[e].seek(
-        std::clamp(squared_distance(s0, element_pos_samples_[e]),
-                   pwl_.x_min(), pwl_.x_max()));
+    rx_trackers_[e].seek(clamped_q(s0, element_pos_samples_[e]));
   }
   pending_seek_ = false;
 }
@@ -114,53 +112,31 @@ void TableFreeEngine::do_compute(const imaging::FocalPoint& fp,
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
   const Vec3 s = fp.position * k;  // focal point in sample units
 
-  const double q_tx =
-      std::clamp(squared_distance(s, origin_samples_), pwl_.x_min(),
-                 pwl_.x_max());
+  const double q_tx = clamped_q(s, origin_samples_);
   if (pending_seek_) seed_trackers(s);
 
   // Transmit path: one evaluation per focal point, shared by all elements.
   const double t_tx = evaluate_path(tx_tracker_, q_tx);
 
   for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
-    const double q_rx = std::clamp(
-        squared_distance(s, element_pos_samples_[e]), pwl_.x_min(),
-        pwl_.x_max());
+    const double q_rx = clamped_q(s, element_pos_samples_[e]);
     const double t_rx = evaluate_path(rx_trackers_[e], q_rx);
     out[e] = static_cast<std::int32_t>(
         fx::round_real_to_int(t_tx + t_rx, fx::Rounding::kHalfUp));
   }
 }
 
-template <typename T, typename Leg, typename Combine>
-void TableFreeEngine::sweep_block(std::vector<T>& tx_legs, DelayPlane& plane,
-                                  Leg leg, Combine combine) {
-  const std::size_t n = block_pos_.size();
-  auto clamped_q = [this](const Vec3& s, const Vec3& d) {
-    return std::clamp(squared_distance(s, d), pwl_.x_min(), pwl_.x_max());
-  };
+Vec3 TableFreeEngine::block_point(std::size_t p) const {
+  return Vec3{block_x_[p], block_y_[p], block_z_[p]};
+}
 
-  // Transmit leg: the shared tracker walks the whole run once.
-  tx_legs.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    const double q_tx = clamped_q(block_pos_[p], origin_samples_);
+template <typename T, typename Leg>
+void TableFreeEngine::transmit_legs(std::vector<T>& tx_legs, Leg leg) {
+  tx_legs.resize(block_x_.size());
+  for (std::size_t p = 0; p < tx_legs.size(); ++p) {
+    const double q_tx = clamped_q(block_point(p), origin_samples_);
     tx_tracker_.advance(q_tx);
     tx_legs[p] = leg(q_tx, tx_tracker_.segment());
-  }
-
-  // Receive legs: each element's tracker advances once across the whole
-  // run before the next element is touched. The tracker sees the same q
-  // sequence as in the per-point sweep, so segments — and therefore delay
-  // values and step counts — are identical.
-  for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
-    PwlTracker& tracker = rx_trackers_[e];
-    const Vec3 d = element_pos_samples_[e];
-    const std::span<std::int32_t> row = plane.row(static_cast<int>(e));
-    for (std::size_t p = 0; p < n; ++p) {
-      const double q_rx = clamped_q(block_pos_[p], d);
-      tracker.advance(q_rx);
-      row[p] = combine(tx_legs[p], leg(q_rx, tracker.segment()));
-    }
   }
 }
 
@@ -168,39 +144,68 @@ void TableFreeEngine::do_compute_block(const imaging::FocalBlock& block,
                                        DelayPlane& plane) {
   const double k = config_.sampling_frequency_hz / config_.speed_of_sound;
   const int n = block.size();
-  block_pos_.resize(static_cast<std::size_t>(n));
+  block_x_.resize(static_cast<std::size_t>(n));
+  block_y_.resize(static_cast<std::size_t>(n));
+  block_z_.resize(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
-    block_pos_[static_cast<std::size_t>(p)] = block[p].position * k;
+    const Vec3 s = block[p].position * k;
+    const auto i = static_cast<std::size_t>(p);
+    block_x_[i] = s.x;
+    block_y_[i] = s.y;
+    block_z_[i] = s.z;
   }
 
-  if (pending_seek_) seed_trackers(block_pos_.front());
+  if (pending_seek_) seed_trackers(block_point(0));
 
   if (!tf_config_.use_fixed_point) {
-    sweep_block(
-        block_tx_, plane,
-        [this](double q, std::size_t segment) {
-          return pwl_.evaluate_in_segment(q, segment);
-        },
-        [](double t_tx, double t_rx) {
-          return static_cast<std::int32_t>(
-              fx::round_real_to_int(t_tx + t_rx, fx::Rounding::kHalfUp));
-        });
+    transmit_legs(block_tx_, [this](double q, std::size_t segment) {
+      return pwl_.evaluate_in_segment(q, segment);
+    });
+    // Each element's tracker advances once across the whole run before
+    // the next element is touched; it sees the same q sequence as the
+    // per-point sweep, so segments and step counts are identical.
+    for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
+      PwlTracker& tracker = rx_trackers_[e];
+      const std::span<std::int32_t> row = plane.row(static_cast<int>(e));
+      for (std::size_t p = 0; p < block_x_.size(); ++p) {
+        const double q_rx = clamped_q(block_point(p), element_pos_samples_[e]);
+        tracker.advance(q_rx);
+        row[p] = static_cast<std::int32_t>(fx::round_real_to_int(
+            block_tx_[p] + pwl_.evaluate_in_segment(q_rx, tracker.segment()),
+            fx::Rounding::kHalfUp));
+      }
+    }
     return;
   }
 
   // Fixed point on raw words: both legs stay result_format words, and the
   // per-point path's half-up rounding of their exact to_real() sum is the
-  // half-up right shift of the integer sum.
-  const int frac = fixed_pwl_.config().result_format.fraction_bits;
-  sweep_block(
-      block_tx_raw_, plane,
-      [this](double q, std::size_t segment) {
-        return fixed_pwl_.evaluate_raw(static_cast<std::int64_t>(q), segment);
-      },
-      [frac](std::int64_t tx, std::int64_t rx) {
-        return static_cast<std::int32_t>(
-            fx::shift_right_half_up(tx + rx, frac));
-      });
+  // half-up right shift of the integer sum. The receive rows run through
+  // the dispatched row kernel; each returns its run's tracker statistics.
+  // The kernel is resolved per block, like the DAS rows', so US3D_SIMD
+  // (or the best available backend) picks it.
+  const simd::PwlRowFn row_fn =
+      simd::pwl_row_fn(simd::resolve_backend(simd::DasBackend::kAuto));
+  transmit_legs(block_tx_raw_, [this](double q, std::size_t segment) {
+    return fixed_pwl_.evaluate_raw(static_cast<std::int64_t>(q), segment);
+  });
+  const simd::PwlRowTable table = fixed_pwl_.row_table(pwl_);
+  simd::PwlRowArgs args{.x = block_x_.data(),
+                        .y = block_y_.data(),
+                        .z = block_z_.data(),
+                        .points = n,
+                        .tx = block_tx_raw_.data()};
+  for (std::size_t e = 0; e < rx_trackers_.size(); ++e) {
+    PwlTracker& tracker = rx_trackers_[e];
+    const Vec3& d = element_pos_samples_[e];
+    args.ex = d.x;
+    args.ey = d.y;
+    args.ez = d.z;
+    args.segment = tracker.segment();
+    const simd::PwlRowResult run =
+        row_fn(table, args, plane.row(static_cast<int>(e)).data());
+    tracker.charge_run(n, run.segment, run.steps, run.max_step);
+  }
 }
 
 TableFreeEngine::TrackerStats TableFreeEngine::tracker_stats() const {

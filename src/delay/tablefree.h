@@ -74,33 +74,40 @@ class TableFreeEngine final : public DelayEngine {
                   std::span<std::int32_t> out) override;
   /// Native block path — Algorithm 1's amortization made explicit: the
   /// shared transmit tracker walks the run once, then each element's
-  /// receive tracker advances across the *whole* run before the next
-  /// element is touched. Segment tracking stays incremental (the argument
-  /// changes smoothly along a run), but the per-voxel re-dispatch into
-  /// every tracker is gone. In fixed point both legs stay raw
-  /// result_format words (FixedPwlSqrt::evaluate_raw) and each delay is
-  /// their integer sum shifted right with half-up rounding.
+  /// receive row is computed across the *whole* run before the next
+  /// element is touched. In fixed point both legs stay raw result_format
+  /// words (FixedPwlSqrt::evaluate_raw) and each delay is their integer
+  /// sum shifted right with half-up rounding; the receive rows go through
+  /// the explicit-SIMD row kernel (simd::PwlRowFn), which lanes over one
+  /// element's focal points. The kernel's backend is resolved per block
+  /// from US3D_SIMD or the best available; the engine has no backend
+  /// option, so BeamformOptions::simd / PipelineConfig::simd pin only the
+  /// DAS rows, not these. A row's segments are a function of its q
+  /// values alone, so the kernel returns the run's final segment and step
+  /// statistics and the element's tracker is charged in bulk
+  /// (PwlTracker::charge_run): delays and tracker_stats() are identical
+  /// to the per-point path. The double-precision path keeps the
+  /// per-element tracker walk.
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
  private:
-  /// Squared distance in sample^2 units between two points given in
-  /// sample-scaled coordinates.
-  static double squared_distance(const Vec3& a, const Vec3& b);
+  /// Clamped squared distance in sample^2 units between two points given
+  /// in sample-scaled coordinates: the PWL argument q.
+  double clamped_q(const Vec3& a, const Vec3& b) const;
 
   /// One PWL receive/transmit path evaluation at squared distance q:
   /// advances `tracker` to q's segment, then evaluates there on the
   /// fx::Value datapath (or in double when use_fixed_point is off).
   double evaluate_path(PwlTracker& tracker, double q) const;
 
-  /// The block sweep shared by both precisions, over block_pos_: the
-  /// transmit tracker walks the run once into `tx_legs`, then each
-  /// element's receive tracker walks it. `leg(q, segment)` evaluates one
-  /// path on the tracker's segment; `combine(tx, rx)` turns the two legs
-  /// into the echo-sample index.
-  template <typename T, typename Leg, typename Combine>
-  void sweep_block(std::vector<T>& tx_legs, DelayPlane& plane, Leg leg,
-                   Combine combine);
+  /// Block point p (sample units) from the SoA block scratch.
+  Vec3 block_point(std::size_t p) const;
+
+  /// The shared transmit tracker walks the block once: tx_legs[p] =
+  /// leg(q_tx, segment) for every block point.
+  template <typename T, typename Leg>
+  void transmit_legs(std::vector<T>& tx_legs, Leg leg);
 
   /// Frame-start preload of every tracker's segment register at the first
   /// focal point `s0` (sample units) — the one-off seek both compute entry
@@ -118,9 +125,13 @@ class TableFreeEngine final : public DelayEngine {
   PwlTracker tx_tracker_;
   Vec3 origin_samples_{};
   bool pending_seek_ = true;
-  std::vector<Vec3> block_pos_;    // per-block scaled positions, reused
-  std::vector<double> block_tx_;   // per-block transmit delays, reused
-  std::vector<std::int64_t> block_tx_raw_;  // same, result_format words
+  // Per-block scratch, reused: scaled positions (SoA, as the row kernel
+  // reads them) and transmit legs (double, or result_format words).
+  std::vector<double> block_x_;
+  std::vector<double> block_y_;
+  std::vector<double> block_z_;
+  std::vector<double> block_tx_;
+  std::vector<std::int64_t> block_tx_raw_;
 };
 
 }  // namespace us3d::delay

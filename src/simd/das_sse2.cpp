@@ -7,55 +7,9 @@
 
 #include <emmintrin.h>
 
-#include <limits>
-
 namespace us3d::simd {
 
 const bool kDasSse2Compiled = true;
-
-void das_row_sse2(const float* echo, std::int64_t samples,
-                  const std::int32_t* delays, double weight, double* acc,
-                  int points) {
-  // Delays are int32, so when the acquisition window itself exceeds the
-  // int32 range every non-negative index is in-window and the upper-bound
-  // compare drops out.
-  const bool windowed =
-      samples <= std::numeric_limits<std::int32_t>::max();
-  const __m128i vbound =
-      _mm_set1_epi32(windowed ? static_cast<std::int32_t>(samples) : 0);
-  const __m128i vminus1 = _mm_set1_epi32(-1);
-  const __m128d vw = _mm_set1_pd(weight);
-  int p = 0;
-  for (; p + 4 <= points; p += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(delays + p));
-    __m128i inwin = _mm_cmpgt_epi32(idx, vminus1);
-    if (windowed) inwin = _mm_and_si128(inwin, _mm_cmpgt_epi32(vbound, idx));
-    const int lanes = _mm_movemask_ps(_mm_castsi128_ps(inwin));
-    // No gather before AVX2: per-lane scalar loads behind the vector mask
-    // (masked-out lanes are never dereferenced).
-    alignas(16) std::int32_t ibuf[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ibuf), idx);
-    alignas(16) float sbuf[4];
-    for (int l = 0; l < 4; ++l) {
-      sbuf[l] =
-          (lanes >> l) & 1 ? echo[static_cast<std::size_t>(ibuf[l])] : 0.0f;
-    }
-    const __m128 s = _mm_load_ps(sbuf);
-    // Widen to double and fold acc += w * s as separate mul + add — the
-    // same IEEE operations per point as the scalar reference, so the
-    // output is bit-identical.
-    const __m128d lo = _mm_cvtps_pd(s);
-    const __m128d hi = _mm_cvtps_pd(_mm_movehl_ps(s, s));
-    _mm_storeu_pd(acc + p,
-                  _mm_add_pd(_mm_loadu_pd(acc + p), _mm_mul_pd(vw, lo)));
-    _mm_storeu_pd(acc + p + 2,
-                  _mm_add_pd(_mm_loadu_pd(acc + p + 2), _mm_mul_pd(vw, hi)));
-  }
-  if (p < points) {
-    das_row_scalar(echo, samples, delays + p, weight, acc + p, points - p);
-  }
-}
 
 void das_row_q_sse2(const std::int16_t* echo, std::int64_t samples,
                     const std::int16_t* delays, std::int32_t weight,
@@ -103,14 +57,8 @@ namespace us3d::simd {
 
 const bool kDasSse2Compiled = false;
 
-// Keeps the symbols defined on non-x86 targets; dispatch reports the
-// backend unavailable, so these bodies are unreachable through resolve.
-void das_row_sse2(const float* echo, std::int64_t samples,
-                  const std::int32_t* delays, double weight, double* acc,
-                  int points) {
-  das_row_scalar(echo, samples, delays, weight, acc, points);
-}
-
+// Keeps the symbol defined on non-x86 targets; dispatch reports the
+// backend unavailable, so this body is unreachable through resolve.
 void das_row_q_sse2(const std::int16_t* echo, std::int64_t samples,
                     const std::int16_t* delays, std::int32_t weight,
                     std::int32_t* acc, int points) {

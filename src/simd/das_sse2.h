@@ -1,14 +1,11 @@
-// SSE2 backend for the DAS row contracts (simd/dispatch.h). The double
-// kernel runs 4 points per iteration; SSE2 has no gather, so sample loads
-// are per-lane scalar moves behind a vector in-window mask, and the
-// weighted accumulation runs as packed-double mul + add (never FMA),
-// which keeps it bit-identical to the scalar reference. The quantized
-// kernel runs 8 points per iteration — twice the lanes, int16 end to end
-// and compare-free (delays arrive pre-sanitized, see the DasRowQFn
-// contract): per-lane int16 loads, then the classic mullo/mulhi_epi16
-// unpack to form the exact 32-bit products. The TU is
-// compiled with -msse2 on x86; elsewhere it degrades to the scalar bodies
-// and kDasSse2Compiled is false.
+// SSE2 backend for the quantized DAS row contract (simd/dispatch.h): 8
+// points per iteration, int16 end to end and compare-free (delays arrive
+// pre-sanitized, see the DasRowQFn contract): per-lane int16 loads, then
+// the classic mullo/mulhi_epi16 unpack to form the exact 32-bit products.
+// There is no SSE2 double body: without a gather its per-lane masked
+// loads ran 4.4x slower than the scalar reference, so das_row_fn(kSSE2)
+// hands out das_row_scalar. The TU is compiled with -msse2 on x86;
+// elsewhere it degrades to the scalar body and kDasSse2Compiled is false.
 #ifndef US3D_SIMD_DAS_SSE2_H
 #define US3D_SIMD_DAS_SSE2_H
 
@@ -18,10 +15,6 @@ namespace us3d::simd {
 
 /// True when this TU was built with real SSE2 intrinsics.
 extern const bool kDasSse2Compiled;
-
-void das_row_sse2(const float* echo, std::int64_t samples,
-                  const std::int32_t* delays, double weight, double* acc,
-                  int points);
 
 void das_row_q_sse2(const std::int16_t* echo, std::int64_t samples,
                     const std::int16_t* delays, std::int32_t weight,

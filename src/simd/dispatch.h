@@ -1,4 +1,5 @@
-// Backend selection for the explicit-SIMD delay-and-sum row kernels.
+// Backend selection for the explicit-SIMD row kernels: the delay-and-sum
+// (DAS) rows and TABLEFREE's PWL receive rows.
 //
 // Every backend implements the same row contract (DasRowFn): sweep one
 // element's delay row against that element's echo stream and fold the
@@ -39,6 +40,41 @@
 // so the int32 accumulator is safe for any active-element count the
 // kernel layer admits (< 2^15 rows).
 //
+// The *PWL receive-row* contract (PwlRowFn) is the delay-generation side:
+// TABLEFREE's fixed-point receive leg for one element over one focal
+// block (delay::TableFreeEngine's block path),
+//
+//   q[p]   = clamp((dx*dx + dy*dy) + dz*dz, x_min, x_max),
+//            (dx, dy, dz) = position[p] - element
+//   seg[p] = the unique i with boundary[i] <= q[p] < boundary[i+1]
+//   rx[p]  = FixedPwlSqrt's raw datapath at (int64(q[p]), seg[p])
+//   row[p] = int32(shift_right_half_up(tx[p] + rx[p], result_frac_bits))
+//
+// The segment is a pure function of q: PwlTracker::advance(q) lands on
+// that i from any starting segment, charging exactly |seg[p] - seg[p-1]|
+// steps (seg[-1] is the tracker's segment before the row). So a row has
+// no serial dependence, and the tracker statistics are rebuilt from the
+// per-point segments — `points` evaluations, sum |Δseg| steps, max |Δseg|
+// — which the caller charges in bulk (PwlTracker::charge_run). Vector
+// bodies map lanes to consecutive points of the one element; the q sum
+// keeps the scalar association order and is built without FMA
+// (-ffp-contract=off), so q, and everything after it, is bit-identical.
+// Segments are found without gathers: a chunk of lanes whose q all lie
+// in a window of segments [lo, hi] small enough for one register gets
+// its per-lane segment as lo plus a count of broadcast boundary compares,
+// and the segment's words by an in-register permute. The window is
+// sized per chunk: it is kept while the chunks' q stay inside it, grown
+// over a new chunk's segments while the union still fits (a smooth
+// nappe row loads it once or twice), and re-centred otherwise (a
+// scanline row's depth sweep crosses most of the table, a register's
+// worth at a time). A vector body only ever hands points back to the
+// scalar reference, which raises every contract violation itself (q
+// outside the domain — NaN; segment in range; dx within the
+// multiplier): a chunk wider than a register, the rest of a row from a
+// chunk with a NaN q, every row of a table whose operands the
+// construction-time bounds (PwlRowTable::vector_bounded) do not cover,
+// and the points % lane-width tail all go to the scalar reference.
+//
 // Selection is two-stage:
 //  - compile time: each backend TU (das_sse2.cpp, das_avx2.cpp, ...) is
 //    built with its own -m<isa> flag on x86 and exports a "compiled with
@@ -61,6 +97,7 @@
 #ifndef US3D_SIMD_DISPATCH_H
 #define US3D_SIMD_DISPATCH_H
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -109,6 +146,63 @@ using DasRowQFn = void (*)(const std::int16_t* echo, std::int64_t samples,
                            const std::int16_t* delays, std::int32_t weight,
                            std::int32_t* acc, int points);
 
+/// One PWL segment table as the receive-row kernels read it (built by
+/// delay::FixedPwlSqrt::row_table(); a view, valid while its owners
+/// live): per-segment SoA words plus the datapath's construction-time
+/// shifts and clamp limits.
+struct PwlRowTable {
+  const double* boundary = nullptr;       ///< segment starts (tracker compare)
+  const std::int64_t* x_start = nullptr;  ///< integer segment anchors
+  const std::int64_t* slope = nullptr;    ///< c1 raw words
+  const std::int64_t* value = nullptr;    ///< c0 raw words, adder grid
+  std::size_t count = 0;                  ///< segments
+  double x_min = 0.0;                     ///< q domain (the tracker's)
+  double x_max = 0.0;
+  std::int64_t dx_max = 0;  ///< multiplier input: -dx_max-1 <= dx <= dx_max
+  int product_shift = 0;    ///< c1*dx grid -> product grid (< 0: left)
+  int sum_shift = 0;        ///< adder grid -> result grid
+  int result_frac_bits = 0;  ///< final delay = result word >> this, half-up
+  std::int64_t product_lo = 0;
+  std::int64_t product_hi = 0;
+  std::int64_t result_lo = 0;
+  std::int64_t result_hi = 0;
+  /// Operand bounds, checked once when the table is built: x_max < 2^31,
+  /// integer anchors in [0, 2^31), c1 words in [0, 2^31), c0 words >= 0,
+  /// product_shift >= 0 and dx_max >= 2^31 - 1.
+  /// Then int64(q) and dx fit int32 lanes (32x32->64 multiplies), every
+  /// intermediate — and every result word, transmit legs included — is
+  /// non-negative (logical shifts round half-up), and no per-point check
+  /// can fail except the q domain. Vector bodies run only when set.
+  bool vector_bounded = false;
+};
+
+/// One element's receive row over one block (see the contract above).
+struct PwlRowArgs {
+  const double* x = nullptr;  ///< block positions, sample units (SoA)
+  const double* y = nullptr;
+  const double* z = nullptr;
+  int points = 0;
+  double ex = 0.0;  ///< element position, sample units
+  double ey = 0.0;
+  double ez = 0.0;
+  /// Transmit legs: raw result words of the same table, one per point.
+  const std::int64_t* tx = nullptr;
+  std::size_t segment = 0;  ///< the element tracker's segment before the row
+};
+
+struct PwlRowResult {
+  std::size_t segment = 0;  ///< segment of the last point
+  std::int64_t steps = 0;   ///< sum over the row of |Δsegment|
+  int max_step = 0;         ///< largest single |Δsegment|
+  int vector_points = 0;    ///< points the vector body handled
+};
+
+/// Receive-row kernel: writes row[0, points) and returns the tracker's
+/// final segment and step statistics. Throws ContractViolation exactly
+/// where the scalar reference does.
+using PwlRowFn = PwlRowResult (*)(const PwlRowTable& table,
+                                  const PwlRowArgs& args, std::int32_t* row);
+
 /// Arithmetic precision of the beamform hot path.
 enum class Precision {
   kAuto,       ///< resolve via US3D_PRECISION, default double
@@ -149,6 +243,11 @@ DasRowFn das_row_fn(DasBackend backend);
 /// Every backend has one (integer arithmetic needs no ISA to be exact;
 /// backends without a vector int body run the scalar reference).
 DasRowQFn das_row_q_fn(DasBackend backend);
+
+/// The PWL receive-row kernel for a concrete (resolved, non-auto)
+/// backend. AVX2 and AVX-512 have vector bodies; scalar, SSE2 and NEON
+/// run the scalar reference.
+PwlRowFn pwl_row_fn(DasBackend backend);
 
 /// Lower-case stable name ("auto", "double", "quantized").
 const char* precision_name(Precision precision);

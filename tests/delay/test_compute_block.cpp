@@ -273,6 +273,81 @@ TEST(ComputeBlock, TableFreeTrackerChargesIdenticalStepsOnBothPaths) {
   }
 }
 
+TEST(ComputeBlock, TableFreeMatchesOracleAtPaperScale) {
+  // The paper's 100x100 probe, aperture and 500-lambda depth (fewer lines
+  // per nappe to keep the per-point oracle affordable): the fixed-point
+  // receive rows run through the resolved SIMD row kernel — US3D_SIMD
+  // pins each backend in CI — and must equal the oracle bit-for-bit,
+  // tracker statistics included. One frame visits a shallow, a middle
+  // and the deepest nappe, so the first rows after each jump carry
+  // multi-segment tracker steps.
+  imaging::SystemConfig paper = imaging::paper_system();
+  paper.volume.n_theta = 16;
+  paper.volume.n_phi = 16;
+  TableFreeEngine engine(paper);
+  ASSERT_TRUE(engine.fixed_pwl().row_table(engine.pwl()).vector_bounded);
+  TableFreeEngine oracle(engine);
+  engine.begin_frame(Vec3{});
+  oracle.begin_frame(Vec3{});
+  const imaging::VolumeGrid grid(paper.volume);
+  const int depth = paper.volume.n_depth;
+  DelayPlane native_plane, oracle_plane;
+  int block_index = 0;
+  for (const int nappe : {3, depth / 2, depth - 1}) {
+    imaging::for_each_focal_block(
+        grid, imaging::ScanOrder::kNappeByNappe,
+        imaging::ScanRange{nappe, nappe + 1}, 128,
+        [&](const imaging::FocalBlock& block) {
+          engine.compute_block(block, native_plane);
+          oracle.compute_block_reference(block, oracle_plane);
+          expect_planes_equal(native_plane, oracle_plane, "paper TABLEFREE",
+                              block_index++);
+        });
+  }
+  EXPECT_EQ(block_index, 6);
+  const auto a = engine.tracker_stats();
+  const auto b = oracle.tracker_stats();
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.max_steps_single_evaluation, b.max_steps_single_evaluation);
+  EXPECT_GT(a.max_steps_single_evaluation, 1);
+}
+
+TEST(ComputeBlock, TableFreeScanlineMatchesOracleAtPaperScale) {
+  // Scanline order at the paper's probe and depth range: each row is a
+  // depth sweep that crosses most of the PWL table and jumps back at the
+  // next scanline, so the row kernel re-sizes its segment window chunk by
+  // chunk and hands the chunks too wide for one (shallow, where segments
+  // are narrow) to the scalar reference. Depth is sampled 5x sparser than
+  // the paper's lambda/2 so both kinds of chunk occur.
+  imaging::SystemConfig paper = imaging::paper_system();
+  paper.volume.n_theta = 2;
+  paper.volume.n_phi = 2;
+  paper.volume.n_depth = 200;
+  TableFreeEngine engine(paper);
+  TableFreeEngine oracle(engine);
+  engine.begin_frame(Vec3{});
+  oracle.begin_frame(Vec3{});
+  const imaging::VolumeGrid grid(paper.volume);
+  DelayPlane native_plane, oracle_plane;
+  int block_index = 0;
+  imaging::for_each_focal_block(
+      grid, imaging::ScanOrder::kScanlineByScanline,
+      imaging::ScanRange{0, 1}, 256, [&](const imaging::FocalBlock& block) {
+        engine.compute_block(block, native_plane);
+        oracle.compute_block_reference(block, oracle_plane);
+        expect_planes_equal(native_plane, oracle_plane,
+                            "paper TABLEFREE scanline", block_index++);
+      });
+  EXPECT_EQ(block_index, 2);
+  const auto a = engine.tracker_stats();
+  const auto b = oracle.tracker_stats();
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.max_steps_single_evaluation, b.max_steps_single_evaluation);
+  EXPECT_GT(a.max_steps_single_evaluation, 8);
+}
+
 TEST(ComputeBlock, SyntheticApertureMatchesOracleForEveryPlannedOrigin) {
   const SyntheticAperturePlan plan = diverging_wave_plan(3, 4.0e-3);
   SyntheticApertureSteerEngine engine(cfg(), plan);

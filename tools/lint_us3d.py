@@ -19,11 +19,12 @@ Five checks, each enforcing an invariant the compilers cannot:
                   name, then optionally session, sequence, detail and up
                   to two (key, value) pairs.
 
-  no-fma          DAS kernel translation units must not contract
-                  multiply-add: bit-exactness across scalar / SSE2 /
-                  AVX2 / AVX-512 / NEON backends depends on every
-                  backend computing `acc += w * gather` with the same
-                  two-rounding sequence. std::fma and FMA intrinsics
+  no-fma          DAS and PWL row kernel translation units must not
+                  contract multiply-add: bit-exactness across scalar /
+                  SSE2 / AVX2 / AVX-512 / NEON backends depends on every
+                  backend computing `acc += w * gather` (and TABLEFREE's
+                  q = (dx*dx + dy*dy) + dz*dz) with the same rounding
+                  sequence. std::fma and FMA intrinsics
                   round once and would fork the backends' results. The
                   ban covers the x86 _mm*fmadd/fnmadd families AND the
                   NEON vfma*/vmla*/vmlal* mnemonics (the latter also
@@ -252,7 +253,7 @@ def check_no_fma(path, text):
     for match in FMA_TOKEN.finditer(clean):
         findings.append(
             (path, line_of(clean, match.start()),
-             "`%s` in a DAS kernel TU: fused multiply-add rounds once and "
+             "`%s` in a SIMD kernel TU: fused multiply-add rounds once and "
              "breaks cross-backend bit-exactness" % match.group(0)))
     return findings
 
@@ -307,8 +308,12 @@ def check_json_contract(path, text):
 # --------------------------------------------------------------------------
 # Repo scanning
 
+# The no-fma scope: the DAS row bodies and their kernel layer, plus the
+# TABLEFREE receive-row bodies (simd/pwl_*.cpp), whose q sum must round
+# exactly like the per-point oracle's.
 DAS_KERNEL_TU = re.compile(
-    r"^src/(?:simd/das_[a-z0-9_]+|beamform/(?:das_kernel|quantized))\.cpp$")
+    r"^src/(?:simd/(?:das|pwl)_[a-z0-9_]+"
+    r"|beamform/(?:das_kernel|quantized))\.cpp$")
 RAW_MUTEX_EXEMPT = "src/common/annotated_mutex.h"
 
 
@@ -369,6 +374,12 @@ def self_test(root):
                             (name, check.__name__))
         if not expects and found:
             failures.append("%s: expected clean, got %r" % (name, found))
+    # The no-fma scope must reach every SIMD row body.
+    for rel in ("src/simd/das_avx512.cpp", "src/simd/pwl_avx512.cpp",
+                "src/simd/pwl_avx2.cpp", "src/simd/pwl_scalar.cpp",
+                "src/beamform/das_kernel.cpp"):
+        if not DAS_KERNEL_TU.match(rel):
+            failures.append("%s: outside the no-fma scope" % rel)
     # The clean fixture must pass EVERY check.
     clean_path = os.path.join(fixture_dir, "good_clean.cpp")
     with open(clean_path, encoding="utf-8") as f:
