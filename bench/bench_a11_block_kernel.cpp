@@ -9,10 +9,10 @@
 // backend the host can run (scalar reference, SSE2, AVX2, ...) through the
 // block path on the production TABLEFREE engine, so the explicit-SIMD
 // kernels have a voxels/s trajectory of their own, and the same backends
-// then time TABLEFREE's compute_block alone (its SIMD receive-row
-// kernels) in M delays/s. A third sweep times the quantized int16 row
-// kernels against the double kernels per backend on precomputed delay
-// planes (the block-kernel sweep the quantized-path
+// then time TABLEFREE's and TABLESTEER's compute_block alone (their SIMD
+// receive-row and steer-row kernels) in M delays/s. A third sweep times
+// the quantized int16 row kernels against the double kernels per backend
+// on precomputed delay planes (the block-kernel sweep the quantized-path
 // acceptance criterion is judged on), reports the one-off echo
 // quantization cost separately, and gauges the quantized pipeline's
 // deviation from the exact double volume against its declared error
@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -113,6 +114,68 @@ PathResult run_path(const beamform::Beamformer& bf,
       static_cast<double>(engine.compute_calls + engine.block_calls) /
       total_voxels;
   return result;
+}
+
+/// compute_block alone (delay generation, no DAS) over whole nappe-order
+/// volumes of `make()`'s engine, in M delays/s, once per backend in
+/// `sweep`. Engines resolve their row kernels per block from US3D_SIMD,
+/// so each row forces the variable to its backend (restored afterwards).
+/// Prints a table and returns the JSON array body.
+std::string delay_backend_sweep(
+    const std::string& title, const imaging::SystemConfig& cfg,
+    const std::vector<simd::DasBackend>& sweep, int block_points,
+    double budget_s,
+    const std::function<std::unique_ptr<delay::DelayEngine>()>& make) {
+  std::cout << '\n' << title << ":\n\n";
+  const imaging::VolumeGrid grid(cfg.volume);
+  const auto order = imaging::ScanOrder::kNappeByNappe;
+  const double delays_per_sweep =
+      static_cast<double>(cfg.volume.total_points()) *
+      probe::MatrixProbe(cfg.probe).element_count();
+  const char* env_simd = std::getenv("US3D_SIMD");
+  const std::string saved_simd = env_simd != nullptr ? env_simd : "";
+  MarkdownTable table({"backend", "M delays/s", "vs scalar"});
+  std::ostringstream json;
+  double scalar_mdelays = 0.0;
+  for (const simd::DasBackend backend : sweep) {
+    ::setenv("US3D_SIMD", simd::backend_name(backend), 1);
+    const std::unique_ptr<delay::DelayEngine> engine = make();
+    delay::DelayPlane plane;
+    auto sweep_volume = [&] {
+      engine->begin_frame(Vec3{});
+      imaging::for_each_focal_block(
+          grid, order, imaging::full_scan_range(cfg.volume, order),
+          block_points, [&](const imaging::FocalBlock& block) {
+            engine->compute_block(block, plane);
+          });
+    };
+    sweep_volume();  // warm-up
+    int sweeps = 0;
+    double seconds = 0.0;
+    const auto t0 = Clock::now();
+    do {
+      sweep_volume();
+      ++sweeps;
+      seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (seconds < budget_s);
+    if (env_simd != nullptr) {
+      ::setenv("US3D_SIMD", saved_simd.c_str(), 1);
+    } else {
+      ::unsetenv("US3D_SIMD");
+    }
+    const double mdelays = delays_per_sweep * sweeps / seconds / 1e6;
+    if (backend == simd::DasBackend::kScalar) scalar_mdelays = mdelays;
+    const double speedup =
+        scalar_mdelays > 0.0 ? mdelays / scalar_mdelays : 0.0;
+    table.add_row({simd::backend_name(backend), format_double(mdelays, 1),
+                   format_double(speedup, 2) + "x"});
+    if (json.tellp() > 0) json << ',';
+    json << "{\"backend\":\"" << simd::backend_name(backend)
+         << "\",\"mdelays_per_second\":" << mdelays
+         << ",\"speedup\":" << speedup << '}';
+  }
+  table.print(std::cout);
+  return json.str();
 }
 
 }  // namespace
@@ -250,65 +313,24 @@ int main(int argc, char** argv) {
   }
   simd_table.print(std::cout);
 
-  // Per-backend sweep of TABLEFREE's receive-row kernels: compute_block
-  // alone (delay generation, no DAS) over the whole volume. The engine
-  // resolves its row kernel per block from US3D_SIMD, so each row forces
-  // the variable to its backend for the sweep (restored afterwards).
-  // Delays are bit-identical on every backend (tests/simd/
-  // test_pwl_row.cpp); only the rate differs.
-  std::cout << "\nTABLEFREE compute_block sweep (delay generation only, "
-               "fixed-point receive rows):\n\n";
+  // Per-backend sweeps of the delay row kernels: compute_block alone
+  // (delay generation, no DAS) over the whole volume, for TABLEFREE's
+  // receive rows and TABLESTEER's steer rows. Delays are bit-identical on
+  // every backend (tests/simd/test_pwl_row.cpp, test_steer_row.cpp);
+  // only the rate differs.
   const int delay_block_points =
       beamform::Beamformer::auto_block_points(probe.element_count());
-  const double delays_per_sweep =
-      static_cast<double>(voxels) * probe.element_count();
   const double delay_budget_s = tiny ? 0.05 : 0.5;
-  const char* env_simd = std::getenv("US3D_SIMD");
-  const std::string saved_simd = env_simd != nullptr ? env_simd : "";
-  MarkdownTable delay_table({"backend", "M delays/s", "vs scalar"});
-  std::ostringstream delay_json;
-  double scalar_mdelays = 0.0;
-  for (const simd::DasBackend backend : sweep) {
-    ::setenv("US3D_SIMD", simd::backend_name(backend), 1);
-    delay::TableFreeEngine engine(cfg);
-    delay::DelayPlane plane;
-    auto sweep_volume = [&] {
-      engine.begin_frame(Vec3{});
-      imaging::for_each_focal_block(
-          grid, imaging::ScanOrder::kNappeByNappe,
-          imaging::full_scan_range(cfg.volume,
-                                   imaging::ScanOrder::kNappeByNappe),
-          delay_block_points, [&](const imaging::FocalBlock& block) {
-            engine.compute_block(block, plane);
-          });
-    };
-    sweep_volume();  // warm-up
-    int sweeps = 0;
-    double seconds = 0.0;
-    const auto t0 = Clock::now();
-    do {
-      sweep_volume();
-      ++sweeps;
-      seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-    } while (seconds < delay_budget_s);
-    if (env_simd != nullptr) {
-      ::setenv("US3D_SIMD", saved_simd.c_str(), 1);
-    } else {
-      ::unsetenv("US3D_SIMD");
-    }
-    const double mdelays = delays_per_sweep * sweeps / seconds / 1e6;
-    if (backend == simd::DasBackend::kScalar) scalar_mdelays = mdelays;
-    const double speedup =
-        scalar_mdelays > 0.0 ? mdelays / scalar_mdelays : 0.0;
-    delay_table.add_row({simd::backend_name(backend),
-                         format_double(mdelays, 1),
-                         format_double(speedup, 2) + "x"});
-    if (delay_json.tellp() > 0) delay_json << ',';
-    delay_json << "{\"backend\":\"" << simd::backend_name(backend)
-               << "\",\"mdelays_per_second\":" << mdelays
-               << ",\"speedup\":" << speedup << '}';
-  }
-  delay_table.print(std::cout);
+  const std::string delay_json = delay_backend_sweep(
+      "TABLEFREE compute_block sweep (delay generation only, fixed-point "
+      "receive rows)",
+      cfg, sweep, delay_block_points, delay_budget_s,
+      [&cfg] { return std::make_unique<delay::TableFreeEngine>(cfg); });
+  const std::string steer_json = delay_backend_sweep(
+      "TABLESTEER-18b compute_block sweep (delay generation only, steer "
+      "rows)",
+      cfg, sweep, delay_block_points, delay_budget_s,
+      [&cfg] { return std::make_unique<delay::TableSteerEngine>(cfg); });
 
   // Quantized block-kernel sweep: double vs int16 row kernels per backend,
   // on delay planes precomputed (and pre-quantized) outside the timed
@@ -452,7 +474,8 @@ int main(int argc, char** argv) {
        << ",\"engines\":[" << engines_json.str() << ']'
        << ",\"simd_selected\":\"" << simd::backend_name(selected) << '"'
        << ",\"simd_backends\":[" << simd_json.str() << ']'
-       << ",\"delay_backends\":[" << delay_json.str() << ']'
+       << ",\"delay_backends\":[" << delay_json << ']'
+       << ",\"steer_backends\":[" << steer_json << ']'
        << ",\"quantized\":{\"weight_frac_bits\":" << simd::kQuantWeightFracBits
        << ",\"kernel_backends\":[" << q_json.str() << ']'
        << ",\"quantize_echo_seconds\":" << quantize_echo_seconds

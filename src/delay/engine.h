@@ -33,8 +33,10 @@
 // fixed-point receive rows run lane-parallel through the simd::PwlRowFn
 // kernels and charge each tracker once per run), and per-block
 // invariants hoisted out of inner loops
-// (TABLESTEER reads its reference-table entry once per element when the
-// block's depth is uniform, which kNappeByNappe blocks always are). The
+// (TABLESTEER gathers its separable correction rows once per block and,
+// when the block's depth is uniform — which kNappeByNappe blocks always
+// are — reads its reference-table entry once per element and sweeps each
+// element row through the simd::SteerRowFn kernels). The
 // caller passes a reusable DelayPlane scratch; reshape() grows it once and
 // steady-state sweeps allocate nothing. compute_block_reference() is the
 // non-virtual per-point oracle the property tests pin every native block

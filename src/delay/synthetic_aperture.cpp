@@ -120,7 +120,7 @@ void SyntheticApertureSteerEngine::do_compute(const imaging::FocalPoint& fp,
 void SyntheticApertureSteerEngine::do_compute_block(
     const imaging::FocalBlock& block, DelayPlane& plane) {
   steer_compute_block(probe_, repo_.table(active_), corrections_, datapath_,
-                      block, plane, block_cy_);
+                      block, plane, block_rows_);
 }
 
 }  // namespace us3d::delay

@@ -108,7 +108,7 @@ class SyntheticApertureSteerEngine final : public DelayEngine {
   MultiOriginTableRepository repo_;
   SteeringCorrections corrections_;
   int active_ = 0;
-  std::vector<std::int64_t> block_cy_;  // per-block y-corrections, reused
+  SteerBlockScratch block_rows_;  // per-block correction rows, reused
 };
 
 }  // namespace us3d::delay

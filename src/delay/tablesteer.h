@@ -12,6 +12,7 @@
 #include "delay/reference_table.h"
 #include "delay/steering.h"
 #include "imaging/system_config.h"
+#include "simd/steer_row.h"
 
 namespace us3d::delay {
 
@@ -48,54 +49,50 @@ void steer_compute_point(const probe::MatrixProbe& probe,
 /// The same datapath on raw words: every alignment shift and clamp limit
 /// of steer_compute_point's chain (add, add, round_to_int half-up, clamp
 /// at 0) is derived once from a TableSteerConfig, and index() returns
-/// exactly what that chain returns for the same words.
+/// exactly what that chain returns for the same words. The derived
+/// parameters are also what the steer-row kernels read (simd/dispatch.h),
+/// including whether the formats fit their int32 lanes.
 class SteerDatapath {
  public:
   explicit SteerDatapath(const TableSteerConfig& config);
 
   const TableSteerConfig& config() const { return config_; }
+  const simd::SteerRowParams& row_params() const { return params_; }
 
   /// Echo-sample index of ref (entry_format) + cx + cy (coeff_format).
   std::int32_t index(std::int64_t ref, std::int64_t cx,
                      std::int64_t cy) const {
-    const std::int64_t sum0 = fx::saturate_raw(
-        fx::align_half_up((ref << ref_align_) + (cx << cx_align_),
-                          sum0_shift_),
-        sum_lo_, sum_hi_);
-    const std::int64_t sum1 = fx::saturate_raw(
-        fx::shift_right_half_up((sum0 << sum1_shift_) + (cy << cy_align_),
-                                sum1_shift_),
-        sum_lo_, sum_hi_);
-    const std::int64_t idx = fx::shift_right_half_up(sum1, sum_frac_);
-    return static_cast<std::int32_t>(idx < 0 ? 0 : idx);
+    return simd::steer_index(params_, ref, cx, cy);
   }
 
  private:
   TableSteerConfig config_;
-  // First adder: ref and cx aligned on the finer of their grids, then
-  // moved to the sum grid (< 0: left shift).
-  int ref_align_ = 0;
-  int cx_align_ = 0;
-  int sum0_shift_ = 0;
-  // Second adder: sum0 and cy aligned on the finer grid, then rounded
-  // back to the sum grid (sum0's alignment equals that shift).
-  int cy_align_ = 0;
-  int sum1_shift_ = 0;
-  int sum_frac_ = 0;  // sum grid -> integer echo-sample index
-  std::int64_t sum_lo_ = 0;
-  std::int64_t sum_hi_ = 0;
+  simd::SteerRowParams params_;
+};
+
+/// Reusable per-block correction rows (grown once, then reused).
+struct SteerBlockScratch {
+  std::vector<std::int32_t> cx;  ///< [element column][point]
+  std::vector<std::int32_t> cy;  ///< [element row][point]
 };
 
 /// The datapath applied to a whole block, element-outer, on raw words.
-/// `table` and `corrections` must hold the formats `datapath` was built
-/// for. `cy_scratch` is reusable per-point y-correction storage (grown
-/// once).
+/// The correction plane is separable, so the block gathers one
+/// x-correction row per element column and one y-correction row per
+/// element row through the checked accessors, and every element row
+/// reuses them. On a uniform-depth block (every kNappeByNappe block) the
+/// reference entry is one word per element, and each element row runs
+/// through the resolved steer-row kernel (simd::SteerRowFn, resolved per
+/// block like the other row kernels, so US3D_SIMD pins it). A scanline
+/// block mixes depths: it reads the entry per point and runs
+/// SteerDatapath::index, the scalar reference. `table` and `corrections`
+/// must hold the formats `datapath` was built for.
 void steer_compute_block(const probe::MatrixProbe& probe,
                          const ReferenceDelayTable& table,
                          const SteeringCorrections& corrections,
                          const SteerDatapath& datapath,
                          const imaging::FocalBlock& block, DelayPlane& plane,
-                         std::vector<std::int64_t>& cy_scratch);
+                         SteerBlockScratch& scratch);
 
 class TableSteerEngine final : public DelayEngine {
  public:
@@ -121,11 +118,9 @@ class TableSteerEngine final : public DelayEngine {
   void do_begin_frame(const Vec3& origin) override;
   void do_compute(const imaging::FocalPoint& fp,
                   std::span<std::int32_t> out) override;
-  /// Native block path: element-outer sweep on raw words (SteerDatapath)
-  /// with the per-row y-correction gathered once per row and — on
-  /// uniform-depth blocks, i.e. every kNappeByNappe block — the
-  /// reference-table entry read once per element instead of once per
-  /// (element, point).
+  /// Native block path: steer_compute_block — separable correction rows
+  /// gathered once per block, and on uniform-depth (nappe) blocks one
+  /// table read per element and a SIMD steer row per element.
   void do_compute_block(const imaging::FocalBlock& block,
                         DelayPlane& plane) override;
 
@@ -136,7 +131,7 @@ class TableSteerEngine final : public DelayEngine {
   /// Immutable after construction; shared by every clone of this engine.
   std::shared_ptr<const ReferenceDelayTable> table_;
   SteeringCorrections corrections_;
-  std::vector<std::int64_t> block_cy_;  // per-block y-corrections, reused
+  SteerBlockScratch block_rows_;  // per-block correction rows, reused
 };
 
 }  // namespace us3d::delay

@@ -318,25 +318,28 @@ void AsyncPipeline::beamform_loop() {
     if (failed()) continue;  // drain-and-drop; counted via dropped_frames
     const int slot = ring_.acquire();
     if (slot < 0) continue;  // ring closed mid-shutdown: drop
-    bool ok = false;
-    US3D_TRACE_SPAN("stage.beamform", "sequence", frame->sequence, "session",
-                    options_.session, "backend", backend_name_, "precision",
-                    precision_name_);
-    const auto t0 = Clock::now();
+    StageStats blocks;
+    double elapsed = 0.0;
     try {
-      StageStats blocks =
-          pipeline_.beamform_into(frame->echoes, frame->origin, ring_[slot]);
-      const double elapsed = seconds_since(t0);
+      // The span covers exactly the interval stats_.beamform times; the
+      // bookkeeping and the hand-off to the compound stage below are
+      // waits between stages, not beamforming.
+      US3D_TRACE_SPAN("stage.beamform", "sequence", frame->sequence,
+                      "session", options_.session, "backend", backend_name_,
+                      "precision", precision_name_);
+      const auto t0 = Clock::now();
+      blocks = pipeline_.beamform_into(frame->echoes, frame->origin,
+                                       ring_[slot]);
+      elapsed = seconds_since(t0);
+    } catch (...) {
+      fail(std::current_exception(), /*from_sink=*/false);
+      ring_.release(slot);
+      continue;
+    }
+    {
       MutexLock lock(state_mutex_);
       stats_.beamform.record(elapsed);
       stats_.block.merge(blocks);
-      ok = true;
-    } catch (...) {
-      fail(std::current_exception(), /*from_sink=*/false);
-    }
-    if (!ok) {
-      ring_.release(slot);
-      continue;
     }
     Beamformed item{slot, frame->sequence};
     if (!beamformed_.push(std::move(item))) ring_.release(slot);
@@ -364,29 +367,41 @@ void AsyncPipeline::compound_loop() {
       mark_processed();
       continue;
     }
-    US3D_TRACE_SPAN("stage.compound", "sequence", b->sequence, "session",
-                    options_.session);
     if (k <= 1) {
+      {
+        // Nothing to sum, so nothing is timed: the span is empty and marks
+        // the frame's pass through the stage, ahead of the hand-off.
+        US3D_TRACE_SPAN("stage.compound", "sequence", b->sequence, "session",
+                        options_.session);
+      }
       emit(Output{b->slot, b->sequence, 1});
       mark_processed();
       continue;
     }
-    const auto t0 = Clock::now();
-    if (acc_slot < 0) {
-      // First shot of the group: its volume *is* the accumulator (summing
-      // it into a zeroed volume would produce the same floats), so the
-      // group costs K-1 adds, and shot k+1 beamforms while shot k sums.
-      acc_slot = b->slot;
-      acc_count = 1;
-    } else {
-      ring_[acc_slot].add(ring_[b->slot]);
-      ring_.release(b->slot);
-      ++acc_count;
+    double elapsed = 0.0;
+    {
+      // The span covers exactly the interval stats_.compound times.
+      US3D_TRACE_SPAN("stage.compound", "sequence", b->sequence, "session",
+                      options_.session);
+      const auto t0 = Clock::now();
+      if (acc_slot < 0) {
+        // First shot of the group: its volume *is* the accumulator
+        // (summing it into a zeroed volume would produce the same
+        // floats), so the group costs K-1 adds, and shot k+1 beamforms
+        // while shot k sums.
+        acc_slot = b->slot;
+        acc_count = 1;
+      } else {
+        ring_[acc_slot].add(ring_[b->slot]);
+        ring_.release(b->slot);
+        ++acc_count;
+      }
+      acc_seq = b->sequence;
+      elapsed = seconds_since(t0);
     }
-    acc_seq = b->sequence;
     {
       MutexLock lock(state_mutex_);
-      stats_.compound.record(seconds_since(t0));
+      stats_.compound.record(elapsed);
     }
     if (acc_count >= k) {
       emit(Output{acc_slot, acc_seq, acc_count});
@@ -430,17 +445,19 @@ void AsyncPipeline::emit(Output out) {
 
 bool AsyncPipeline::deliver(const VolumeSink& sink, const Output& out) {
   const std::int64_t voxels = ring_[out.slot].voxel_count();
-  US3D_TRACE_SPAN("stage.sink", "sequence", out.sequence, "session",
-                  options_.session);
-  const auto t0 = Clock::now();
+  double elapsed = 0.0;
   try {
+    // The span covers exactly the interval stats_.consume times.
+    US3D_TRACE_SPAN("stage.sink", "sequence", out.sequence, "session",
+                    options_.session);
+    const auto t0 = Clock::now();
     if (sink) sink(ring_[out.slot], out.sequence);
+    elapsed = seconds_since(t0);
   } catch (...) {
     ring_.release(out.slot);
     fail(std::current_exception(), /*from_sink=*/true);
     return false;
   }
-  const double elapsed = seconds_since(t0);
   ring_.release(out.slot);
   MutexLock lock(state_mutex_);
   stats_.consume.record(elapsed);

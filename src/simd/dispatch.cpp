@@ -17,6 +17,7 @@
 #include "simd/das_scalar.h"
 #include "simd/das_sse2.h"
 #include "simd/pwl_row.h"
+#include "simd/steer_row.h"
 
 namespace us3d::simd {
 
@@ -219,6 +220,24 @@ PwlRowFn pwl_row_fn(DasBackend backend) {
   }
   throw std::logic_error(
       "us3d::simd: pwl_row_fn wants a concrete backend; call "
+      "resolve_backend first");
+}
+
+SteerRowFn steer_row_fn(DasBackend backend) {
+  switch (backend) {
+    case DasBackend::kScalar:
+    case DasBackend::kSSE2:
+    case DasBackend::kNEON:
+      return &steer_row_scalar;
+    case DasBackend::kAVX2:
+      return &steer_row_avx2;
+    case DasBackend::kAVX512:
+      return &steer_row_avx512;
+    case DasBackend::kAuto:
+      break;
+  }
+  throw std::logic_error(
+      "us3d::simd: steer_row_fn wants a concrete backend; call "
       "resolve_backend first");
 }
 

@@ -1,5 +1,5 @@
 // Backend selection for the explicit-SIMD row kernels: the delay-and-sum
-// (DAS) rows and TABLEFREE's PWL receive rows.
+// (DAS) rows, TABLEFREE's PWL receive rows and TABLESTEER's steer rows.
 //
 // Every backend implements the same row contract (DasRowFn): sweep one
 // element's delay row against that element's echo stream and fold the
@@ -74,6 +74,32 @@
 // chunk with a NaN q, every row of a table whose operands the
 // construction-time bounds (PwlRowTable::vector_bounded) do not cover,
 // and the points % lane-width tail all go to the scalar reference.
+//
+// The *steer-row* contract (SteerRowFn) is TABLESTEER's Fig. 4 datapath
+// for one element over one uniform-depth (nappe) block
+// (delay::steer_compute_block), on words the caller gathered through the
+// checked table and correction accessors:
+//
+//   row[p] = steer_index(ref, cx[p], cy[p])
+//
+// with one reference word per element (the block's depth is constant),
+// the element column's x-correction row and the element row's
+// y-correction row. steer_index (simd/steer_row.h, which
+// delay::SteerDatapath::index calls) is the spec: two aligned adds, each
+// rounded half-up onto the sum grid and saturated, one half-up rounding
+// to the integer echo-sample index, clamped at 0, on int64 words. The
+// vector bodies run in int32 lanes (AVX-512F 16, AVX2 8) on configs
+// whose adders never round — each only shifts its operands left onto
+// the sum grid, as at the paper's 18/14/13-bit design points — and whose
+// intermediates all fit a lane: SteerRowParams::vector_bounded is
+// derived once from the formats, and a config it does not cover runs the
+// scalar reference for the whole row. Half-up rounding is symmetric in
+// sign (fx::shift_right_half_up rounds magnitudes), but the final one
+// may floor (sum + half) instead: a negative sum reaches an index <= 0
+// either way, and the clamp makes both 0. There is no per-point check to
+// hand back (the accessors checked every index when the rows were
+// gathered), so the only points a bounded vector body leaves to the
+// scalar reference are the points % lane-width tail.
 //
 // Selection is two-stage:
 //  - compile time: each backend TU (das_sse2.cpp, das_avx2.cpp, ...) is
@@ -203,6 +229,36 @@ struct PwlRowResult {
 using PwlRowFn = PwlRowResult (*)(const PwlRowTable& table,
                                   const PwlRowArgs& args, std::int32_t* row);
 
+/// TABLESTEER's datapath as the steer-row kernels read it (built by
+/// delay::SteerDatapath from a TableSteerConfig): the alignment shifts
+/// and the sum word's clamp limits of steer_index.
+struct SteerRowParams {
+  int ref_align = 0;   ///< first adder: ref onto the finer operand grid
+  int cx_align = 0;    ///< first adder: cx onto the same grid
+  int sum0_shift = 0;  ///< that grid -> sum grid (< 0: exact left shift)
+  int cy_align = 0;    ///< second adder: cy onto the finer grid
+  int sum1_shift = 0;  ///< that grid -> sum grid (>= 0)
+  int sum_frac = 0;    ///< sum grid -> integer echo-sample index
+  std::int64_t sum_lo = 0;
+  std::int64_t sum_hi = 0;
+  /// Set when neither adder rounds (sum0_shift <= 0, sum1_shift == 0),
+  /// every shift is below 31, and every intermediate — each adder's sum
+  /// and the sum word plus the final rounding half — stays below 2^31 in
+  /// magnitude for any words of the formats (entry words for ref,
+  /// coefficient words for cx and cy). Then int32 lanes compute exactly
+  /// what steer_index computes on int64 words. Vector bodies run only
+  /// when set; the paper's 18/14/13-bit design points all are.
+  bool vector_bounded = false;
+};
+
+/// One element's row over a uniform-depth block (see the contract
+/// above): reads cx[0, points) and cy[0, points), writes row[0, points),
+/// returns the points the vector body computed (0 for the scalar
+/// reference).
+using SteerRowFn = int (*)(const SteerRowParams& params, std::int32_t ref,
+                           const std::int32_t* cx, const std::int32_t* cy,
+                           std::int32_t* row, int points);
+
 /// Arithmetic precision of the beamform hot path.
 enum class Precision {
   kAuto,       ///< resolve via US3D_PRECISION, default double
@@ -248,6 +304,11 @@ DasRowQFn das_row_q_fn(DasBackend backend);
 /// backend. AVX2 and AVX-512 have vector bodies; scalar, SSE2 and NEON
 /// run the scalar reference.
 PwlRowFn pwl_row_fn(DasBackend backend);
+
+/// The TABLESTEER steer-row kernel for a concrete (resolved, non-auto)
+/// backend. AVX2 and AVX-512 have int32-lane bodies; scalar, SSE2 and
+/// NEON run the scalar reference.
+SteerRowFn steer_row_fn(DasBackend backend);
 
 /// Lower-case stable name ("auto", "double", "quantized").
 const char* precision_name(Precision precision);

@@ -7,6 +7,7 @@
 // serial, one layer down.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "delay/tablesteer.h"
 #include "imaging/scan_order.h"
 #include "imaging/system_config.h"
+#include "simd/dispatch.h"
 
 namespace us3d::delay {
 namespace {
@@ -346,6 +348,96 @@ TEST(ComputeBlock, TableFreeScanlineMatchesOracleAtPaperScale) {
   EXPECT_EQ(a.total_steps, b.total_steps);
   EXPECT_EQ(a.max_steps_single_evaluation, b.max_steps_single_evaluation);
   EXPECT_GT(a.max_steps_single_evaluation, 8);
+}
+
+/// Native vs oracle for `engine`'s frame at `origin` over `range`, with
+/// every block's native plane computed once per backend the host can run:
+/// US3D_SIMD is set to each in turn (and restored afterwards), and
+/// engines resolve their row kernels per block, so this pins every
+/// dispatch path inside one test process. The oracle runs once per block
+/// on a copy. Returns the blocks compared.
+int check_every_backend(DelayEngine& engine,
+                        const imaging::SystemConfig& config,
+                        const Vec3& origin, imaging::ScanOrder order,
+                        const imaging::ScanRange& range, int max_points,
+                        const std::string& label) {
+  const char* env = std::getenv("US3D_SIMD");
+  const std::string saved = env != nullptr ? env : "";
+  auto oracle = engine.clone();
+  engine.begin_frame(origin);
+  oracle->begin_frame(origin);
+  const imaging::VolumeGrid grid(config.volume);
+  DelayPlane native_plane, oracle_plane;
+  int block_index = 0;
+  imaging::for_each_focal_block(
+      grid, order, range, max_points, [&](const imaging::FocalBlock& block) {
+        oracle->compute_block_reference(block, oracle_plane);
+        for (const simd::DasBackend b : simd::available_backends()) {
+          ::setenv("US3D_SIMD", simd::backend_name(b), 1);
+          engine.compute_block(block, native_plane);
+          expect_planes_equal(native_plane, oracle_plane,
+                              label + " " + simd::backend_name(b),
+                              block_index);
+        }
+        ++block_index;
+      });
+  if (env != nullptr) {
+    ::setenv("US3D_SIMD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("US3D_SIMD");
+  }
+  return block_index;
+}
+
+TEST(ComputeBlock, TableSteerMatchesOracleAtPaperScaleOnEveryBackend) {
+  // The paper's 100x100 probe and 500-lambda depth (fewer lines per nappe
+  // to keep the per-point oracle affordable), at every table width and
+  // for the synthetic-aperture engine at both of its origins: each nappe
+  // block's element rows run through the steer-row kernel of every
+  // backend (blocks of 64 and 36 points leave lane tails on both vector
+  // bodies) and must equal the fx::Value oracle bit-for-bit. A shallow
+  // and the deepest nappe cover corrections larger than the table entry
+  // (clamped at 0) and the widest entries.
+  imaging::SystemConfig paper = imaging::paper_system();
+  paper.volume.n_theta = 10;
+  paper.volume.n_phi = 10;
+  const int depth = paper.volume.n_depth;
+  const auto order = imaging::ScanOrder::kNappeByNappe;
+  for (const TableSteerConfig& ts :
+       {TableSteerConfig::bits18(), TableSteerConfig::bits14(),
+        TableSteerConfig::bits13()}) {
+    TableSteerEngine engine(paper, ts);
+    for (const int nappe : {1, depth - 1}) {
+      EXPECT_EQ(check_every_backend(engine, paper, Vec3{}, order,
+                                    imaging::ScanRange{nappe, nappe + 1}, 64,
+                                    engine.name()),
+                2);
+    }
+  }
+  const SyntheticAperturePlan plan = diverging_wave_plan(2, 4.0e-3);
+  SyntheticApertureSteerEngine sa(paper, plan);
+  for (const double z : plan.origin_z) {
+    EXPECT_EQ(check_every_backend(sa, paper, Vec3{0.0, 0.0, z}, order,
+                                  imaging::ScanRange{depth / 2, depth / 2 + 1},
+                                  64, "TABLESTEER-SA z=" + std::to_string(z)),
+              2);
+  }
+}
+
+TEST(ComputeBlock, TableSteerScanlineBlocksMatchOracleAtPaperScale) {
+  // Scanline blocks mix depths, so the block path reads the table entry
+  // per point and runs the scalar datapath over the gathered correction
+  // rows, whichever backend is forced.
+  imaging::SystemConfig paper = imaging::paper_system();
+  paper.volume.n_theta = 2;
+  paper.volume.n_phi = 1;
+  paper.volume.n_depth = 150;
+  TableSteerEngine engine(paper);
+  const auto order = imaging::ScanOrder::kScanlineByScanline;
+  EXPECT_EQ(check_every_backend(engine, paper, Vec3{}, order,
+                                imaging::full_scan_range(paper.volume, order),
+                                256, "TABLESTEER scanline"),
+            2);
 }
 
 TEST(ComputeBlock, SyntheticApertureMatchesOracleForEveryPlannedOrigin) {

@@ -98,7 +98,9 @@ TEST_F(FlightRecorderTest, DumpWritesACompleteValidBundle) {
   for (const JsonValue& ev : trace.at("traceEvents").elements()) {
     const std::string& ph = ev.at("ph").as_string();
     if (ph == "B") ++depth[ev.at("tid").as_int()];
-    if (ph == "E") EXPECT_GE(--depth[ev.at("tid").as_int()], 0);
+    if (ph == "E") {
+      EXPECT_GE(--depth[ev.at("tid").as_int()], 0);
+    }
   }
   for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "tid " << tid;
 

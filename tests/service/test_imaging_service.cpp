@@ -433,6 +433,11 @@ TEST(ImagingService, MidRunScrapesNeverObserveATornLedger) {
       scrapes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Start submitting only once the scraper is running: on a loaded host
+  // the whole session can otherwise finish before its first scrape.
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   auto frames = make_frames(s, 12, 41);
   for (EchoFrame& f : frames) {
