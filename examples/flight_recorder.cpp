@@ -26,7 +26,6 @@
 #include "common/json_reader.h"
 #include "common/prng.h"
 #include "obs/event_log.h"
-#include "obs/exposition.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/resource_profiler.h"
@@ -278,12 +277,6 @@ int main() {
   std::sort(bundles.begin(), bundles.end());
   check(!bundles.empty(), "a session_failure bundle exists");
   if (!bundles.empty()) validate_bundle(bundles.back());
-
-  // Bonus: the Prometheus view of the same registry.
-  const std::string prom =
-      obs::render_prometheus(obs::MetricsRegistry::global());
-  check(prom.find("service_frames_submitted_total") != std::string::npos,
-        "prometheus exposition renders service counters");
 
   std::cout << "\n" << (g_failures == 0 ? "ALL CHECKS PASSED" : "FAILURES")
             << " (" << g_failures << " failures)\n";

@@ -20,9 +20,9 @@
 //   while (!ready_) cv_.wait(mutex_);
 //
 // Documented escapes (the only sanctioned ones):
-//   - obs/trace SpanRing and obs/event_log EventRing are seqlocks built
-//     from std::atomic fields and fences; they have no mutex and need no
-//     annotations.
+//   - obs/seqlock_ring.h SeqlockRing (the ring behind trace spans and
+//     structured events) is a seqlock built from std::atomic words and
+//     fences; it has no mutex and needs no annotations.
 //   - Pure-atomic metric primitives (Counter/Gauge/FixedHistogram) are
 //     likewise annotation-free by design.
 //   - std::condition_variable::wait needs a std::unique_lock, so

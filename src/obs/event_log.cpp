@@ -1,31 +1,14 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <ostream>
-#include <string>
 #include <string_view>
 
-#include "common/annotated_mutex.h"
-#include "common/contracts.h"
 #include "common/json_writer.h"
+#include "obs/seqlock_ring.h"
 #include "obs/trace.h"
 
 namespace us3d::obs {
-
-namespace {
-
-bool env_enables_events() {
-  const char* v = std::getenv("US3D_EVENTS");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true";
-}
-
-constexpr std::size_t kDefaultEventCapacity = 4096;
-
-}  // namespace
 
 const char* severity_name(EventSeverity severity) {
   switch (severity) {
@@ -39,99 +22,6 @@ const char* severity_name(EventSeverity severity) {
       return "error";
   }
   return "info";
-}
-
-// ---------------------------------------------------------------------------
-// EventRing
-// ---------------------------------------------------------------------------
-
-// The SpanRing seqlock, field-for-field (see trace.cpp for the full proof
-// sketch): the owner publishes record number w into slot w % capacity with
-// seq odd (2w+1) while the payload is being replaced and even (2(w+1)) once
-// complete; a reader that sees seq == 2(i+1) before AND after copying the
-// payload got an untorn record i, anything else counts as dropped. Payload
-// fields are individually atomic (relaxed) so concurrent overwrite is
-// well-defined under TSan; the fences order them against the seq edges.
-struct EventRing::Slot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> t_ns{0};
-  std::atomic<std::int32_t> severity{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::int64_t> session{-1};
-  std::atomic<std::int64_t> sequence{-1};
-  std::atomic<const char*> detail{nullptr};
-  std::atomic<const char*> arg1_name{nullptr};
-  std::atomic<std::int64_t> arg1{0};
-  std::atomic<const char*> arg2_name{nullptr};
-  std::atomic<std::int64_t> arg2{0};
-};
-
-EventRing::EventRing(std::size_t capacity)
-    : capacity_(capacity), slots_(new Slot[capacity]) {
-  US3D_EXPECTS(capacity > 0);
-}
-
-EventRing::~EventRing() = default;
-
-void EventRing::push(const EventRecord& r) {
-  const std::uint64_t w = writes_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[w % capacity_];
-  slot.seq.store(2 * w + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.t_ns.store(r.t_ns, std::memory_order_relaxed);
-  slot.severity.store(static_cast<std::int32_t>(r.severity),
-                      std::memory_order_relaxed);
-  slot.name.store(r.name, std::memory_order_relaxed);
-  slot.session.store(r.session, std::memory_order_relaxed);
-  slot.sequence.store(r.sequence, std::memory_order_relaxed);
-  slot.detail.store(r.detail, std::memory_order_relaxed);
-  slot.arg1_name.store(r.arg1_name, std::memory_order_relaxed);
-  slot.arg1.store(r.arg1, std::memory_order_relaxed);
-  slot.arg2_name.store(r.arg2_name, std::memory_order_relaxed);
-  slot.arg2.store(r.arg2, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.seq.store(2 * (w + 1), std::memory_order_relaxed);
-  writes_.store(w + 1, std::memory_order_release);
-}
-
-std::uint64_t EventRing::snapshot(std::vector<EventRecord>& out) const {
-  const std::uint64_t writes = writes_.load(std::memory_order_acquire);
-  const std::uint64_t base = base_.load(std::memory_order_relaxed);
-  std::uint64_t first = writes > capacity_ ? writes - capacity_ : 0;
-  if (first < base) first = base;
-  std::uint64_t dropped = first - base;  // overwritten before we looked
-  for (std::uint64_t i = first; i < writes; ++i) {
-    const Slot& slot = slots_[i % capacity_];
-    const std::uint64_t want = 2 * (i + 1);
-    if (slot.seq.load(std::memory_order_acquire) != want) {
-      ++dropped;  // already claimed by a newer record
-      continue;
-    }
-    EventRecord r;
-    r.t_ns = slot.t_ns.load(std::memory_order_relaxed);
-    r.severity = static_cast<EventSeverity>(
-        slot.severity.load(std::memory_order_relaxed));
-    r.name = slot.name.load(std::memory_order_relaxed);
-    r.session = slot.session.load(std::memory_order_relaxed);
-    r.sequence = slot.sequence.load(std::memory_order_relaxed);
-    r.detail = slot.detail.load(std::memory_order_relaxed);
-    r.arg1_name = slot.arg1_name.load(std::memory_order_relaxed);
-    r.arg1 = slot.arg1.load(std::memory_order_relaxed);
-    r.arg2_name = slot.arg2_name.load(std::memory_order_relaxed);
-    r.arg2 = slot.arg2.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != want) {
-      ++dropped;  // overwritten while we were reading
-      continue;
-    }
-    out.push_back(r);
-  }
-  return dropped;
-}
-
-void EventRing::reset() {
-  base_.store(writes_.load(std::memory_order_acquire),
-              std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,48 +55,13 @@ std::size_t EventSnapshot::count(const char* name) const {
 // EventLog
 // ---------------------------------------------------------------------------
 
-struct EventLog::ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity) : ring(capacity) {}
-
-  EventRing ring;  // seqlock: atomics + fences, no mutex (see event_log.h)
-  std::atomic<bool> retired{false};
-};
-
 namespace {
 
-/// The log registry, mirroring trace.cpp's CollectorState: `mutex` guards
-/// the buffer roster and admission capacity; `enabled` is one relaxed
-/// atomic load on the emit hot path.
-struct EventLogState {
-  Mutex mutex;
-  std::vector<std::shared_ptr<EventLog::ThreadBuffer>> buffers
-      US3D_GUARDED_BY(mutex);
-  std::size_t thread_capacity US3D_GUARDED_BY(mutex) = kDefaultEventCapacity;
-  std::atomic<bool> enabled{false};
-};
-
 // Leaked on purpose: worker threads may emit during static destruction.
-EventLogState& log_state() {
-  static EventLogState* s = [] {
-    auto* st = new EventLogState();
-    st->enabled.store(env_enables_events(), std::memory_order_relaxed);
-    return st;
-  }();
-  return *s;
+ThreadRings<EventRecord>& rings() {
+  static auto* r = new ThreadRings<EventRecord>("US3D_EVENTS", 4096);
+  return *r;
 }
-
-// Keeps this thread's buffer alive and flags it retired at thread exit so
-// reset() can release buffers nobody will write to again. Rings stay
-// readable after their thread dies: a post-mortem must still see events
-// from joined stage threads.
-struct EventThreadHandle {
-  std::shared_ptr<EventLog::ThreadBuffer> buffer;
-  ~EventThreadHandle() {
-    if (buffer) buffer->retired.store(true, std::memory_order_release);
-  }
-};
-
-thread_local EventThreadHandle t_event_handle;
 
 }  // namespace
 
@@ -214,58 +69,29 @@ EventLog::EventLog() = default;
 
 EventLog& EventLog::instance() {
   static EventLog log;
-  (void)log_state();
+  (void)rings();
   return log;
 }
 
-void EventLog::set_enabled(bool enabled) {
-  log_state().enabled.store(enabled, std::memory_order_relaxed);
-}
+void EventLog::set_enabled(bool enabled) { rings().set_enabled(enabled); }
 
-bool EventLog::enabled() const {
-  return log_state().enabled.load(std::memory_order_relaxed);
-}
+bool EventLog::enabled() const { return rings().enabled(); }
 
 void EventLog::set_thread_capacity(std::size_t events) {
-  US3D_EXPECTS(events > 0);
-  EventLogState& s = log_state();
-  MutexLock lock(s.mutex);
-  s.thread_capacity = events;
+  rings().set_thread_capacity(events);
 }
 
 std::size_t EventLog::thread_capacity() const {
-  EventLogState& s = log_state();
-  MutexLock lock(s.mutex);
-  return s.thread_capacity;
+  return rings().thread_capacity();
 }
 
-EventLog::ThreadBuffer& EventLog::buffer_for_this_thread() {
-  if (!t_event_handle.buffer) {
-    EventLogState& s = log_state();
-    MutexLock lock(s.mutex);
-    auto buffer = std::make_shared<ThreadBuffer>(s.thread_capacity);
-    s.buffers.push_back(buffer);
-    t_event_handle.buffer = std::move(buffer);
-  }
-  return *t_event_handle.buffer;
-}
-
-void EventLog::record(const EventRecord& record) {
-  if (!enabled()) return;
-  buffer_for_this_thread().ring.push(record);
-}
+void EventLog::record(const EventRecord& record) { rings().record(record); }
 
 EventSnapshot EventLog::collect() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    EventLogState& s = log_state();
-    MutexLock lock(s.mutex);
-    buffers = s.buffers;
-  }
   EventSnapshot snap;
-  for (const auto& buffer : buffers) {
-    snap.dropped += buffer->ring.snapshot(snap.events);
-  }
+  rings().for_each([&snap](const ThreadRings<EventRecord>::Buffer& buffer) {
+    snap.dropped += buffer.ring.snapshot(snap.events);
+  });
   std::stable_sort(snap.events.begin(), snap.events.end(),
                    [](const EventRecord& a, const EventRecord& b) {
                      return a.t_ns < b.t_ns;
@@ -273,18 +99,7 @@ EventSnapshot EventLog::collect() const {
   return snap;
 }
 
-void EventLog::reset() {
-  EventLogState& s = log_state();
-  MutexLock lock(s.mutex);
-  auto& buffers = s.buffers;
-  for (const auto& buffer : buffers) buffer->ring.reset();
-  buffers.erase(std::remove_if(buffers.begin(), buffers.end(),
-                               [](const auto& b) {
-                                 return b->retired.load(
-                                     std::memory_order_acquire);
-                               }),
-                buffers.end());
-}
+void EventLog::reset() { rings().reset(); }
 
 void EventLog::write_events_json(std::ostream& os, std::size_t last_n) const {
   const EventSnapshot snap = collect();

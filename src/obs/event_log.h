@@ -8,11 +8,11 @@
 //    var or EventLog::set_enabled turns it on): one relaxed atomic load
 //    per emit site, no buffer ever allocated.
 //  - Lock-free recording when enabled: each thread owns a fixed-capacity
-//    drop-oldest EventRing and only ever writes its own ring; snapshots
-//    read through the same per-slot seqlock protocol as SpanRing, so an
-//    export mid-chaos never blocks an emitter and never reads a torn
-//    record. Overwritten-before-seen records are counted, never silently
-//    lost.
+//    drop-oldest SeqlockRing (obs/seqlock_ring.h, the same ring and
+//    per-thread registry as trace spans) and only ever writes its own
+//    ring, so an export mid-chaos never blocks an emitter and never reads
+//    a torn record. Overwritten-before-seen records are counted, never
+//    silently lost.
 //  - Never allocates on the emit path: records store `const char*` for
 //    the event name, the detail string and both argument keys — they MUST
 //    be string literals (or otherwise outlive the log). tools/lint_us3d.py
@@ -21,15 +21,15 @@
 #ifndef US3D_OBS_EVENT_LOG_H
 #define US3D_OBS_EVENT_LOG_H
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 namespace us3d::obs {
 
-enum class EventSeverity : std::int32_t {
+/// 64-bit so an EventRecord is whole ring words with no padding.
+enum class EventSeverity : std::int64_t {
   kDebug = 0,
   kInfo = 1,
   kWarn = 2,
@@ -52,40 +52,6 @@ struct EventRecord {
   std::int64_t arg1 = 0;
   const char* arg2_name = nullptr;
   std::int64_t arg2 = 0;
-};
-
-/// Fixed-capacity drop-oldest ring of EventRecords: single recording
-/// thread, any number of concurrent snapshot readers (the SpanRing
-/// seqlock protocol over atomic fields — see event_log.cpp).
-class EventRing {
- public:
-  explicit EventRing(std::size_t capacity);
-  ~EventRing();  // out of line: Slot is complete only in event_log.cpp
-
-  EventRing(const EventRing&) = delete;
-  EventRing& operator=(const EventRing&) = delete;
-
-  std::size_t capacity() const { return capacity_; }
-
-  /// Owner thread only. Never blocks, never allocates.
-  void push(const EventRecord& record);
-
-  /// Any thread. Appends the current window (oldest to newest) to `out`
-  /// and returns the cumulative count of records dropped since the last
-  /// reset (overwritten before this snapshot saw them, plus records
-  /// skipped because the owner was mid-overwrite during the read).
-  std::uint64_t snapshot(std::vector<EventRecord>& out) const;
-
-  /// Any thread: discards the current window and zeroes the drop count.
-  void reset();
-
- private:
-  struct Slot;
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> writes_{0};
-  std::atomic<std::uint64_t> base_{0};
 };
 
 /// Everything the log currently remembers, merged across threads and
@@ -132,11 +98,8 @@ class EventLog {
   /// the trace epoch so events line up with spans in a post-mortem.
   void record(const EventRecord& record);
 
-  struct ThreadBuffer;  // implementation detail, defined in event_log.cpp
-
  private:
   EventLog();
-  ThreadBuffer& buffer_for_this_thread();
 };
 
 /// Emit one event (cheap no-op while the log is disabled). `name`,

@@ -100,7 +100,7 @@ class FixedHistogram {
 /// One registry's worth of metric values copied out at a single locked
 /// pass over the name map (each value is then read with its own atomic
 /// load — see the consistency contract above). This is the input to the
-/// Prometheus exposition and the SLO watchdog's evaluation.
+/// SLO watchdog's evaluation.
 struct MetricsSnapshot {
   struct Histogram {
     std::vector<double> upper_bounds;
@@ -158,7 +158,7 @@ class MetricsRegistry {
   std::string snapshot_json() const US3D_EXCLUDES(mutex_);
 
   /// Structured equivalent of snapshot_json() for in-process consumers
-  /// (Prometheus exposition, SLO evaluation).
+  /// (SLO evaluation).
   MetricsSnapshot snapshot() const US3D_EXCLUDES(mutex_);
 
  private:

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -19,24 +18,11 @@
 #include "common/annotated_mutex.h"
 #include "common/json_writer.h"
 #include "obs/metrics.h"
+#include "obs/seqlock_ring.h"
 
 namespace us3d::obs {
 
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-bool env_enables_profile() {
-  const char* v = std::getenv("US3D_PROFILE");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true";
-}
 
 /// Immutable identity of a registered thread plus its exit flag. All
 /// mutable sampling state lives in ProfilerState (under its mutex), so
@@ -279,7 +265,7 @@ ResourceProfile ResourceProfiler::summary() const {
 }
 
 void ResourceProfiler::start_from_env() {
-  if (env_enables_profile()) {
+  if (env_flag("US3D_PROFILE")) {
     global().start(MetricsRegistry::global());
   }
 }

@@ -2,186 +2,46 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <ostream>
 #include <string_view>
 
 #include "common/annotated_mutex.h"
-#include "common/contracts.h"
 #include "common/json_writer.h"
+#include "obs/seqlock_ring.h"
 
 namespace us3d::obs {
 
 namespace {
 
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// The trace side's per-thread data: a stable id (registration order) and
+/// the exported thread name. Each buffer guards its own name rather than
+/// borrowing the registry lock: naming a thread and a collect() of other
+/// buffers never contend.
+struct ThreadName {
+  ThreadName()
+      : tid(next_tid.fetch_add(1, std::memory_order_relaxed)),
+        name("thread-" + std::to_string(tid)) {}
 
-bool env_enables_tracing() {
-  const char* v = std::getenv("US3D_TRACE");
-  if (v == nullptr) return false;
-  const std::string s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true";
-}
-
-constexpr std::size_t kDefaultThreadCapacity = 8192;
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// SpanRing
-// ---------------------------------------------------------------------------
-
-// Seqlock over atomic fields. The owner publishes record number w into slot
-// w % capacity: seq goes odd (2w+1) while the payload is being replaced,
-// then even (2(w+1)) once it is complete. A reader that sees seq == 2(i+1)
-// before AND after reading the payload got an untorn copy of record i; any
-// other observation means the slot was mid-overwrite and the record counts
-// as dropped. Payload fields are individually atomic (relaxed) so the
-// concurrent overwrite is well-defined for TSan, and the fences order them
-// against the seq edges.
-struct SpanRing::Slot {
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint64_t> t0_ns{0};
-  std::atomic<std::uint64_t> t1_ns{0};
-  std::atomic<const char*> arg1_name{nullptr};
-  std::atomic<std::int64_t> arg1{0};
-  std::atomic<const char*> arg2_name{nullptr};
-  std::atomic<std::int64_t> arg2{0};
-  std::atomic<const char*> sarg_name{nullptr};
-  std::atomic<const char*> sarg{nullptr};
-  std::atomic<const char*> sarg2_name{nullptr};
-  std::atomic<const char*> sarg2{nullptr};
-};
-
-SpanRing::SpanRing(std::size_t capacity)
-    : capacity_(capacity), slots_(new Slot[capacity]) {
-  US3D_EXPECTS(capacity > 0);
-}
-
-SpanRing::~SpanRing() = default;
-
-void SpanRing::push(const SpanRecord& r) {
-  const std::uint64_t w = writes_.load(std::memory_order_relaxed);
-  Slot& slot = slots_[w % capacity_];
-  slot.seq.store(2 * w + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.name.store(r.name, std::memory_order_relaxed);
-  slot.t0_ns.store(r.t0_ns, std::memory_order_relaxed);
-  slot.t1_ns.store(r.t1_ns, std::memory_order_relaxed);
-  slot.arg1_name.store(r.arg1_name, std::memory_order_relaxed);
-  slot.arg1.store(r.arg1, std::memory_order_relaxed);
-  slot.arg2_name.store(r.arg2_name, std::memory_order_relaxed);
-  slot.arg2.store(r.arg2, std::memory_order_relaxed);
-  slot.sarg_name.store(r.sarg_name, std::memory_order_relaxed);
-  slot.sarg.store(r.sarg, std::memory_order_relaxed);
-  slot.sarg2_name.store(r.sarg2_name, std::memory_order_relaxed);
-  slot.sarg2.store(r.sarg2, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.seq.store(2 * (w + 1), std::memory_order_relaxed);
-  writes_.store(w + 1, std::memory_order_release);
-}
-
-std::uint64_t SpanRing::snapshot(std::vector<SpanRecord>& out) const {
-  const std::uint64_t writes = writes_.load(std::memory_order_acquire);
-  const std::uint64_t base = base_.load(std::memory_order_relaxed);
-  std::uint64_t first = writes > capacity_ ? writes - capacity_ : 0;
-  if (first < base) first = base;
-  std::uint64_t dropped = first - base;  // overwritten before we looked
-  for (std::uint64_t i = first; i < writes; ++i) {
-    const Slot& slot = slots_[i % capacity_];
-    const std::uint64_t want = 2 * (i + 1);
-    if (slot.seq.load(std::memory_order_acquire) != want) {
-      ++dropped;  // already claimed by a newer record
-      continue;
-    }
-    SpanRecord r;
-    r.name = slot.name.load(std::memory_order_relaxed);
-    r.t0_ns = slot.t0_ns.load(std::memory_order_relaxed);
-    r.t1_ns = slot.t1_ns.load(std::memory_order_relaxed);
-    r.arg1_name = slot.arg1_name.load(std::memory_order_relaxed);
-    r.arg1 = slot.arg1.load(std::memory_order_relaxed);
-    r.arg2_name = slot.arg2_name.load(std::memory_order_relaxed);
-    r.arg2 = slot.arg2.load(std::memory_order_relaxed);
-    r.sarg_name = slot.sarg_name.load(std::memory_order_relaxed);
-    r.sarg = slot.sarg.load(std::memory_order_relaxed);
-    r.sarg2_name = slot.sarg2_name.load(std::memory_order_relaxed);
-    r.sarg2 = slot.sarg2.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != want) {
-      ++dropped;  // overwritten while we were reading
-      continue;
-    }
-    out.push_back(r);
-  }
-  return dropped;
-}
-
-void SpanRing::reset() {
-  base_.store(writes_.load(std::memory_order_acquire),
-              std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// TraceCollector
-// ---------------------------------------------------------------------------
-
-struct TraceCollector::ThreadBuffer {
-  ThreadBuffer(std::size_t capacity, std::uint64_t tid_in)
-      : ring(capacity), tid(tid_in), name("thread-" + std::to_string(tid_in)) {}
-
-  SpanRing ring;  // seqlock: atomics + fences, no mutex (see trace.h)
+  static inline std::atomic<std::uint64_t> next_tid{1};
   std::uint64_t tid;
-  /// Each buffer guards its own name rather than borrowing the registry
-  /// lock: naming a thread and a collect() of other buffers never contend.
-  mutable Mutex name_mutex;
-  std::string name US3D_GUARDED_BY(name_mutex);
-  std::atomic<bool> retired{false};
+  mutable Mutex mutex;
+  std::string name US3D_GUARDED_BY(mutex);
 };
 
-namespace {
+using SpanRings = ThreadRings<SpanRecord, ThreadName>;
 
-/// The collector registry. `mutex` guards the buffer roster and its
-/// admission parameters; `enabled` is a plain atomic read on the record
-/// hot path, and `epoch_ns` is frozen inside the state() initializer
-/// before any other thread can observe the object.
-struct CollectorState {
-  Mutex mutex;
-  std::vector<std::shared_ptr<TraceCollector::ThreadBuffer>> buffers
-      US3D_GUARDED_BY(mutex);
-  std::uint64_t next_tid US3D_GUARDED_BY(mutex) = 1;
-  std::size_t thread_capacity US3D_GUARDED_BY(mutex) = kDefaultThreadCapacity;
-  std::atomic<bool> enabled{false};
-  std::uint64_t epoch_ns = 0;
+/// `epoch_ns` is frozen inside the state() initializer before any other
+/// thread can observe the object.
+struct TraceState {
+  SpanRings rings{"US3D_TRACE", 8192};
+  std::uint64_t epoch_ns = steady_now_ns();
 };
 
 // Leaked on purpose: worker threads may record during static destruction.
-CollectorState& state() {
-  static CollectorState* s = [] {
-    auto* st = new CollectorState();
-    st->enabled.store(env_enables_tracing(), std::memory_order_relaxed);
-    st->epoch_ns = steady_now_ns();
-    return st;
-  }();
+TraceState& state() {
+  static TraceState* s = new TraceState();
   return *s;
 }
-
-// Keeps this thread's buffer alive and flags it retired at thread exit so
-// reset() can release buffers nobody will write to again.
-struct ThreadHandle {
-  std::shared_ptr<TraceCollector::ThreadBuffer> buffer;
-  ~ThreadHandle() {
-    if (buffer) buffer->retired.store(true, std::memory_order_release);
-  }
-};
-
-thread_local ThreadHandle t_handle;
 
 }  // namespace
 
@@ -194,41 +54,21 @@ TraceCollector& TraceCollector::instance() {
 }
 
 void TraceCollector::set_enabled(bool enabled) {
-  state().enabled.store(enabled, std::memory_order_relaxed);
+  state().rings.set_enabled(enabled);
 }
 
-bool TraceCollector::enabled() const {
-  return state().enabled.load(std::memory_order_relaxed);
-}
+bool TraceCollector::enabled() const { return state().rings.enabled(); }
 
 void TraceCollector::set_thread_capacity(std::size_t spans) {
-  US3D_EXPECTS(spans > 0);
-  CollectorState& s = state();
-  MutexLock lock(s.mutex);
-  s.thread_capacity = spans;
+  state().rings.set_thread_capacity(spans);
 }
 
 std::size_t TraceCollector::thread_capacity() const {
-  CollectorState& s = state();
-  MutexLock lock(s.mutex);
-  return s.thread_capacity;
-}
-
-TraceCollector::ThreadBuffer& TraceCollector::buffer_for_this_thread() {
-  if (!t_handle.buffer) {
-    CollectorState& s = state();
-    MutexLock lock(s.mutex);
-    auto buffer =
-        std::make_shared<ThreadBuffer>(s.thread_capacity, s.next_tid++);
-    s.buffers.push_back(buffer);
-    t_handle.buffer = std::move(buffer);
-  }
-  return *t_handle.buffer;
+  return state().rings.thread_capacity();
 }
 
 void TraceCollector::record(const SpanRecord& record) {
-  if (!enabled()) return;
-  buffer_for_this_thread().ring.push(record);
+  state().rings.record(record);
 }
 
 std::uint64_t TraceCollector::now_ns() const {
@@ -237,48 +77,27 @@ std::uint64_t TraceCollector::now_ns() const {
 
 void TraceCollector::name_this_thread(const std::string& name) {
   if (!enabled()) return;
-  ThreadBuffer& buffer = buffer_for_this_thread();
-  MutexLock lock(buffer.name_mutex);
-  buffer.name = name;
+  ThreadName& meta = state().rings.local().meta;
+  MutexLock lock(meta.mutex);
+  meta.name = name;
 }
 
 TraceSnapshot TraceCollector::collect() const {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    CollectorState& s = state();
-    MutexLock lock(s.mutex);
-    buffers = s.buffers;
-  }
   TraceSnapshot snap;
-  snap.threads.reserve(buffers.size());
-  for (const auto& buffer : buffers) {
+  state().rings.for_each([&snap](const SpanRings::Buffer& buffer) {
     ThreadTrace t;
-    t.tid = buffer->tid;
+    t.tid = buffer.meta.tid;
     {
-      MutexLock lock(buffer->name_mutex);
-      t.name = buffer->name;
+      MutexLock lock(buffer.meta.mutex);
+      t.name = buffer.meta.name;
     }
-    t.dropped_spans = buffer->ring.snapshot(t.spans);
+    t.dropped_spans = buffer.ring.snapshot(t.spans);
     snap.threads.push_back(std::move(t));
-  }
+  });
   return snap;
 }
 
-void TraceCollector::reset() {
-  CollectorState& s = state();
-  MutexLock lock(s.mutex);
-  auto& buffers = s.buffers;
-  for (const auto& buffer : buffers) buffer->ring.reset();
-  // Retired buffers can never be written again — release them so a
-  // long-lived process that traces in rounds stays bounded by its live
-  // thread count, not its historical one.
-  buffers.erase(std::remove_if(buffers.begin(), buffers.end(),
-                               [](const auto& b) {
-                                 return b->retired.load(
-                                     std::memory_order_acquire);
-                               }),
-                buffers.end());
-}
+void TraceCollector::reset() { state().rings.reset(); }
 
 void set_thread_name(const std::string& name) {
   TraceCollector::instance().name_this_thread(name);

@@ -10,11 +10,11 @@
 //    US3D_TRACE env var or TraceCollector::set_enabled turns it on): one
 //    relaxed atomic load per span site, no buffer is ever allocated.
 //  - Lock-free recording when enabled: each thread owns a fixed-capacity
-//    SpanRing (drop-oldest, zero steady-state allocation) and only ever
-//    writes its own ring; the collector snapshots rings from any thread
-//    through a per-slot sequence-number protocol (a seqlock over atomic
-//    fields), so a mid-run export never blocks a pipeline stage and never
-//    reads a torn record.
+//    drop-oldest SeqlockRing (obs/seqlock_ring.h, zero steady-state
+//    allocation) and only ever writes its own ring; the collector
+//    snapshots rings from any thread through its per-slot seqlock, so a
+//    mid-run export never blocks a pipeline stage and never reads a torn
+//    record.
 //
 // Span names and argument names must be string literals (or otherwise
 // outlive the collector) — records store the pointers, never copies,
@@ -26,10 +26,9 @@
 #define US3D_TRACING 1
 #endif
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,40 +49,6 @@ struct SpanRecord {
   const char* sarg = nullptr;
   const char* sarg2_name = nullptr;
   const char* sarg2 = nullptr;
-};
-
-/// Fixed-capacity drop-oldest ring of SpanRecords: single recording
-/// thread, any number of concurrent snapshot readers. Records overwritten
-/// before a snapshot saw them are counted, never silently lost.
-class SpanRing {
- public:
-  explicit SpanRing(std::size_t capacity);
-  ~SpanRing();  // out of line: Slot is complete only in trace.cpp
-
-  SpanRing(const SpanRing&) = delete;
-  SpanRing& operator=(const SpanRing&) = delete;
-
-  std::size_t capacity() const { return capacity_; }
-
-  /// Owner thread only. Never blocks, never allocates.
-  void push(const SpanRecord& record);
-
-  /// Any thread. Appends the current window (oldest to newest) to `out`
-  /// and returns the cumulative count of spans dropped since the last
-  /// reset (overwritten before this snapshot, plus records skipped
-  /// because the owner was overwriting them during the read).
-  std::uint64_t snapshot(std::vector<SpanRecord>& out) const;
-
-  /// Any thread: discards the current window and zeroes the drop count.
-  void reset();
-
- private:
-  struct Slot;
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> writes_{0};  ///< records ever pushed
-  std::atomic<std::uint64_t> base_{0};    ///< reset watermark
 };
 
 /// Everything one thread contributed to the trace.
@@ -146,11 +111,8 @@ class TraceCollector {
   /// event). No-op while tracing is disabled.
   void name_this_thread(const std::string& name);
 
-  struct ThreadBuffer;  // implementation detail, defined in trace.cpp
-
  private:
   TraceCollector();
-  ThreadBuffer& buffer_for_this_thread();
 };
 
 /// Convenience: TraceCollector::instance().name_this_thread(name).

@@ -1,14 +1,14 @@
-// Trace contracts the exporter and every consumer rely on: the ring is
-// drop-oldest and counts what it dropped, the Chrome export is balanced
-// (every B closed by an E) with per-thread monotonic timestamps, a
-// disabled or compiled-out build records nothing, and a snapshot taken
-// while the owner thread is recording never reads a torn span (the
-// seqlock test below is the thread-sanitizer target for this module).
+// Trace contracts the exporter and every consumer rely on: per-thread
+// overflow drops the oldest spans and counts them, the Chrome export is
+// balanced (every B closed by an E) with per-thread monotonic timestamps,
+// a disabled or compiled-out build records nothing and registers no
+// buffer, and reset() releases the buffers of joined threads. The ring
+// itself (window, drop counts, torn-read stress) is covered for both
+// record types in test_seqlock_ring.cpp.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -28,71 +28,54 @@ void fresh_collector() {
   TraceCollector::instance().reset();
 }
 
-TEST(SpanRing, KeepsTheNewestWindowAndCountsDrops) {
-  SpanRing ring(4);
-  for (int i = 0; i < 10; ++i) {
-    SpanRecord r;
-    r.name = "s";
-    r.t0_ns = static_cast<std::uint64_t>(i);
-    r.t1_ns = static_cast<std::uint64_t>(i);
-    ring.push(r);
+/// The registered thread named `name`, or nullptr.
+const ThreadTrace* find_thread(const TraceSnapshot& snap,
+                               const std::string& name) {
+  for (const ThreadTrace& thread : snap.threads) {
+    if (thread.name == name) return &thread;
   }
-  std::vector<SpanRecord> out;
-  EXPECT_EQ(ring.snapshot(out), 6u);  // 10 pushed, 4 kept
-  ASSERT_EQ(out.size(), 4u);
-  // Oldest-first window over the newest records.
-  EXPECT_EQ(out.front().t0_ns, 6u);
-  EXPECT_EQ(out.back().t0_ns, 9u);
-
-  ring.reset();
-  out.clear();
-  EXPECT_EQ(ring.snapshot(out), 0u);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(SpanRing, SnapshotNeverReadsATornRecordWhileTheOwnerWrites) {
-  // The seqlock contract under real concurrency: one owner pushing as
-  // fast as it can, one reader snapshotting. Any record the reader does
-  // return must be internally consistent (t1 encodes t0, name is the one
-  // the writer uses); overwritten-mid-read records may only be *dropped*.
-  SpanRing ring(64);
-  std::atomic<bool> stop{false};
-  std::thread owner([&] {
-    std::uint64_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      SpanRecord r;
-      r.name = "owner";
-      r.t0_ns = i;
-      r.t1_ns = i * 2 + 1;  // reader-checkable function of t0
-      r.arg1_name = "i";
-      r.arg1 = static_cast<std::int64_t>(i);
-      ring.push(r);
-      ++i;
-    }
-  });
-  std::vector<SpanRecord> out;
-  for (int round = 0; round < 200; ++round) {
-    out.clear();
-    ring.snapshot(out);
-    for (const SpanRecord& r : out) {
-      ASSERT_STREQ(r.name, "owner");
-      ASSERT_EQ(r.t1_ns, r.t0_ns * 2 + 1);
-      ASSERT_EQ(r.arg1, static_cast<std::int64_t>(r.t0_ns));
-    }
-  }
-  stop.store(true, std::memory_order_relaxed);
-  owner.join();
+  return nullptr;
 }
 
 TEST(Trace, DisabledCollectorRecordsNothingAndAllocatesNoBuffers) {
   TraceCollector::instance().reset();
   TraceCollector::instance().set_enabled(false);
+  const std::size_t threads_before =
+      TraceCollector::instance().collect().threads.size();
   {
     US3D_TRACE_SPAN("never");
     US3D_TRACE_INSTANT("never.either", "x", 1);
   }
-  EXPECT_EQ(TraceCollector::instance().collect().total_spans(), 0u);
+  // A thread that names itself and records while tracing is off never
+  // registers a buffer.
+  std::thread t([] {
+    set_thread_name("disabled-thread");
+    US3D_TRACE_SPAN("never.on.thread");
+    US3D_TRACE_INSTANT("never.on.thread.either");
+  });
+  t.join();
+  const TraceSnapshot snap = TraceCollector::instance().collect();
+  EXPECT_EQ(snap.total_spans(), 0u);
+  EXPECT_EQ(snap.threads.size(), threads_before);
+  EXPECT_EQ(find_thread(snap, "disabled-thread"), nullptr);
   TraceCollector::instance().set_enabled(true);
+}
+
+TEST(Trace, ResetReleasesTheBuffersOfJoinedThreads) {
+  if (!TraceCollector::compiled_in()) GTEST_SKIP();
+  fresh_collector();
+  std::thread t([] {
+    set_thread_name("short-lived");
+    US3D_TRACE_INSTANT("short.lived");
+  });
+  t.join();
+  // Buffers outlive their threads: the joined thread is still exported.
+  const TraceSnapshot before = TraceCollector::instance().collect();
+  ASSERT_NE(find_thread(before, "short-lived"), nullptr);
+  TraceCollector::instance().reset();
+  const TraceSnapshot after = TraceCollector::instance().collect();
+  EXPECT_EQ(after.threads.size(), before.threads.size() - 1);
+  EXPECT_EQ(find_thread(after, "short-lived"), nullptr);
 }
 
 TEST(Trace, CompiledOutBuildEmitsAnEmptyTrace) {
@@ -157,10 +140,7 @@ TEST(Trace, OverflowDropsOldestAndReportsDroppedSpans) {
   TraceCollector::instance().set_thread_capacity(restore);
 
   const TraceSnapshot snap = TraceCollector::instance().collect();
-  const ThreadTrace* overflower = nullptr;
-  for (const ThreadTrace& thread : snap.threads) {
-    if (thread.name == "overflower") overflower = &thread;
-  }
+  const ThreadTrace* overflower = find_thread(snap, "overflower");
   ASSERT_NE(overflower, nullptr);
   EXPECT_EQ(overflower->spans.size(), 8u);
   EXPECT_EQ(overflower->dropped_spans, 12u);
