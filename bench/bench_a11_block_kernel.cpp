@@ -1,9 +1,7 @@
-// A11 — the block hot path vs the per-voxel hot path. The paper makes
-// delay *generation* cheap; this bench tracks whether the host runtime can
-// keep up: one virtual DelayEngine call and one scalar accumulate per
-// focal point (per-voxel path) against one batched compute_block + SoA
-// delay-and-sum per smooth-order run (block path). Reported per engine:
-// wall time, voxels/s, speedup, and the measured number of virtual
+// A11 — the block hot path. The paper makes delay *generation* cheap;
+// this bench tracks whether the host runtime can keep up: one batched
+// compute_block + SoA delay-and-sum per smooth-order run. Reported per
+// engine: wall time, voxels/s, and the measured number of virtual
 // dispatches per voxel (counted with a forwarding engine wrapper, so the
 // numbers are observed, not assumed). A second sweep forces each SIMD
 // backend the host can run (scalar reference, SSE2, AVX2, ...) through the
@@ -87,27 +85,27 @@ class CountingEngine final : public delay::DelayEngine {
   std::unique_ptr<delay::DelayEngine> inner_;
 };
 
-struct PathResult {
+struct BlockResult {
   double seconds = 0.0;
   double voxels_per_second = 0.0;
   double virtual_calls_per_voxel = 0.0;
 };
 
-PathResult run_path(const beamform::Beamformer& bf,
-                    const beamform::EchoBuffer& echoes, CountingEngine& engine,
-                    beamform::ReconstructPath path, std::int64_t voxels,
-                    int repeats) {
+BlockResult run_block(const beamform::Beamformer& bf,
+                      const beamform::EchoBuffer& echoes,
+                      CountingEngine& engine, std::int64_t voxels,
+                      int repeats) {
   // Warm-up sweep so allocations reach their high-water mark before timing.
-  bf.reconstruct(echoes, engine, {.path = path});
+  bf.reconstruct(echoes, engine);
   engine.compute_calls = engine.block_calls = engine.block_points = 0;
   const auto t0 = Clock::now();
   for (int r = 0; r < repeats; ++r) {
-    bf.reconstruct(echoes, engine, {.path = path});
+    bf.reconstruct(echoes, engine);
   }
   const double seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
   const double total_voxels = static_cast<double>(voxels) * repeats;
-  PathResult result;
+  BlockResult result;
   result.seconds = seconds / repeats;
   result.voxels_per_second = seconds > 0.0 ? total_voxels / seconds : 0.0;
   result.virtual_calls_per_voxel =
@@ -186,7 +184,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--tiny") == 0) tiny = true;
   }
 
-  bench::banner("A11", "block vs per-voxel reconstruction hot path");
+  bench::banner("A11", "block reconstruction hot path");
 
   const imaging::SystemConfig cfg =
       tiny ? imaging::scaled_system(6, 10, 40)
@@ -228,45 +226,28 @@ int main(int argc, char** argv) {
       {"TABLESTEER-SA", std::make_unique<delay::SyntheticApertureSteerEngine>(
                             cfg, delay::diverging_wave_plan(2, 3.0e-3))});
 
-  MarkdownTable table({"engine", "per-voxel [ms]", "block [ms]", "speedup",
-                       "block voxels/s", "vcalls/voxel (per-voxel)",
-                       "vcalls/voxel (block)"});
+  MarkdownTable table(
+      {"engine", "block [ms]", "block voxels/s", "vcalls/voxel"});
   std::ostringstream engines_json;
   for (EngineCase& c : cases) {
     CountingEngine counted(std::move(c.engine));
-    const PathResult per_voxel =
-        run_path(bf, echoes, counted, beamform::ReconstructPath::kPerVoxel,
-                 voxels, repeats);
-    const PathResult block =
-        run_path(bf, echoes, counted, beamform::ReconstructPath::kBlock,
-                 voxels, repeats);
-    const double speedup =
-        block.seconds > 0.0 ? per_voxel.seconds / block.seconds : 0.0;
-    table.add_row({c.label, format_double(per_voxel.seconds * 1e3, 2),
-                   format_double(block.seconds * 1e3, 2),
-                   format_double(speedup, 2) + "x",
+    const BlockResult block = run_block(bf, echoes, counted, voxels, repeats);
+    table.add_row({c.label, format_double(block.seconds * 1e3, 2),
                    format_si(block.voxels_per_second, "voxels/s", 2),
-                   format_double(per_voxel.virtual_calls_per_voxel, 3),
                    format_double(block.virtual_calls_per_voxel, 5)});
     if (engines_json.tellp() > 0) engines_json << ',';
     engines_json << "{\"engine\":\"" << c.label << "\""
-                 << ",\"per_voxel\":{\"seconds\":" << per_voxel.seconds
-                 << ",\"voxels_per_second\":" << per_voxel.voxels_per_second
-                 << ",\"virtual_calls_per_voxel\":"
-                 << per_voxel.virtual_calls_per_voxel << '}'
                  << ",\"block\":{\"seconds\":" << block.seconds
                  << ",\"voxels_per_second\":" << block.voxels_per_second
                  << ",\"virtual_calls_per_voxel\":"
-                 << block.virtual_calls_per_voxel << '}'
-                 << ",\"speedup\":" << speedup << '}';
+                 << block.virtual_calls_per_voxel << "}}";
   }
   table.print(std::cout);
   std::cout << "\nThe block path makes ~1/block_size virtual calls per "
-               "voxel instead of 1, skips\nzero-weight elements via a "
-               "precomputed active list, and sweeps SoA delay rows\nwith "
-               "contiguous, auto-vectorizable loops. Output is "
-               "bit-identical on both paths\n(tests/beamform/"
-               "test_das_kernel.cpp).\n";
+               "voxel, skips zero-weight\nelements via a precomputed active "
+               "list, and sweeps SoA delay rows with\ncontiguous, "
+               "auto-vectorizable loops. Output is bit-identical to a "
+               "per-point\nsweep (tests/beamform/test_das_kernel.cpp).\n";
 
   // Per-backend sweep of the explicit-SIMD DAS row kernels: the block path
   // on the production TABLEFREE engine, with BeamformOptions::simd forced
@@ -287,8 +268,7 @@ int main(int argc, char** argv) {
   std::ostringstream simd_json;
   double scalar_seconds = 0.0;
   for (const simd::DasBackend backend : sweep) {
-    beamform::BeamformOptions options{.path = beamform::ReconstructPath::kBlock,
-                                      .simd = backend};
+    const beamform::BeamformOptions options{.simd = backend};
     bf.reconstruct(echoes, simd_engine, options);  // warm-up
     const auto t0 = Clock::now();
     for (int r = 0; r < repeats; ++r) {
@@ -435,11 +415,8 @@ int main(int argc, char** argv) {
 
   // End-to-end: the quantized pipeline against the exact double volume on
   // the same engine/echoes, judged against the declared error bounds.
-  const beamform::BeamformOptions dopts{
-      .path = beamform::ReconstructPath::kBlock,
-      .precision = simd::Precision::kDouble};
+  const beamform::BeamformOptions dopts{.precision = simd::Precision::kDouble};
   const beamform::BeamformOptions qopts{
-      .path = beamform::ReconstructPath::kBlock,
       .precision = simd::Precision::kQuantized};
   delay::TableFreeEngine e2e_engine(cfg);
   bf.reconstruct(echoes, e2e_engine, dopts);  // warm-up

@@ -14,7 +14,7 @@
 #include "delay/synthetic_aperture.h"
 #include "delay/tablefree.h"
 #include "hw/delay_fabric.h"
-#include "runtime/frame_pipeline.h"
+#include "runtime/async_pipeline.h"
 
 namespace {
 
@@ -48,13 +48,11 @@ std::vector<us3d::runtime::EchoFrame> sweep_frames(
 }
 
 // Streaming workload for the host-side parallel runtime: a short replayed
-// shot sequence and a worker sweep — run once per reconstruction path
-// (block vs per-voxel) so BENCH_runtime.json tracks the block refactor's
-// trajectory alongside the thread scaling.
+// shot sequence streamed through AsyncPipeline::run at each worker count,
+// so BENCH_runtime.json tracks the thread scaling.
 std::string runtime_thread_sweep(bool tiny) {
   using namespace us3d;
-  bench::section(
-      "parallel runtime: FramePipeline thread x path sweep (TABLEFREE)");
+  bench::section("parallel runtime: FramePipeline thread sweep (TABLEFREE)");
 
   const imaging::SystemConfig cfg = sweep_system(tiny);
   const probe::ApodizationMap apod(probe::MatrixProbe(cfg.probe),
@@ -63,44 +61,35 @@ std::string runtime_thread_sweep(bool tiny) {
   const std::vector<int> thread_counts =
       tiny ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
 
-  MarkdownTable table({"path", "threads", "frames", "beamform [ms/frame]",
+  MarkdownTable table({"threads", "frames", "beamform [ms/frame]",
                        "sustained fps", "voxels/s", "speedup"});
   std::ostringstream sweep_json;
-  for (const beamform::ReconstructPath path :
-       {beamform::ReconstructPath::kBlock,
-        beamform::ReconstructPath::kPerVoxel}) {
-    const char* path_name =
-        path == beamform::ReconstructPath::kBlock ? "block" : "per-voxel";
-    double fps_1thread = 0.0;
-    for (const int threads : thread_counts) {
-      delay::TableFreeEngine prototype(cfg);
-      runtime::FramePipeline pipeline(
-          cfg, apod, prototype,
-          runtime::PipelineConfig{.worker_threads = threads, .path = path});
-      runtime::ReplayFrameSource source(frames, /*repeats=*/tiny ? 1 : 2);
-      const runtime::PipelineStats stats = pipeline.run(
-          source, [](const beamform::VolumeImage&, std::int64_t) {});
-      if (threads == 1) fps_1thread = stats.sustained_fps();
-      const double speedup =
-          fps_1thread > 0.0 ? stats.sustained_fps() / fps_1thread : 0.0;
-      table.add_row({path_name, std::to_string(threads),
-                     std::to_string(stats.frames),
-                     format_double(stats.beamform.mean_s() * 1e3, 2),
-                     format_double(stats.sustained_fps(), 2),
-                     format_si(stats.voxels_per_second(), "voxels/s", 2),
-                     format_double(speedup, 2) + "x"});
-      if (sweep_json.tellp() > 0) sweep_json << ',';
-      sweep_json << "{\"path\":\"" << path_name << "\",\"threads\":" << threads
-                 << ",\"speedup\":" << speedup
-                 << ",\"stats\":" << stats.to_json() << '}';
-    }
+  double fps_1thread = 0.0;
+  for (const int threads : thread_counts) {
+    delay::TableFreeEngine prototype(cfg);
+    runtime::FramePipeline pipeline(
+        cfg, apod, prototype,
+        runtime::PipelineConfig{.worker_threads = threads});
+    runtime::ReplayFrameSource source(frames, /*repeats=*/tiny ? 1 : 2);
+    const runtime::PipelineStats stats = runtime::AsyncPipeline(pipeline).run(
+        source, [](const beamform::VolumeImage&, std::int64_t) {});
+    if (threads == 1) fps_1thread = stats.sustained_fps();
+    const double speedup =
+        fps_1thread > 0.0 ? stats.sustained_fps() / fps_1thread : 0.0;
+    table.add_row({std::to_string(threads), std::to_string(stats.frames),
+                   format_double(stats.beamform.mean_s() * 1e3, 2),
+                   format_double(stats.sustained_fps(), 2),
+                   format_si(stats.voxels_per_second(), "voxels/s", 2),
+                   format_double(speedup, 2) + "x"});
+    if (sweep_json.tellp() > 0) sweep_json << ',';
+    sweep_json << "{\"threads\":" << threads << ",\"speedup\":" << speedup
+               << ",\"stats\":" << stats.to_json() << '}';
   }
   table.print(std::cout);
   std::cout << "\nEach worker sweeps a contiguous nappe range with its own "
                "cloned TABLEFREE engine;\nthe output is bit-identical to the "
-               "serial beamformer at every thread count and on\nboth paths "
-               "(asserted by tests/runtime/ and tests/beamform/), so the "
-               "speedup\ncolumns are free lunch.\n";
+               "serial beamformer at every thread count\n(asserted by "
+               "tests/runtime/), so the speedup column is free lunch.\n";
   return sweep_json.str();
 }
 
@@ -147,12 +136,12 @@ std::string async_compound_sweep(bool tiny) {
   for (const Row row : rows) {
     delay::SyntheticApertureSteerEngine prototype(cfg, plan);
     runtime::FramePipeline pipeline(
-        cfg, apod, prototype,
-        runtime::PipelineConfig{.worker_threads = 2,
-                                .queue_depth = row.depth,
-                                .compound_origins = row.compound});
+        cfg, apod, prototype, runtime::PipelineConfig{.worker_threads = 2});
     runtime::ReplayFrameSource source(frames);
-    const runtime::PipelineStats stats = pipeline.run(
+    runtime::AsyncPipeline session(
+        pipeline, runtime::AsyncOptions{.depth = row.depth,
+                                        .compound_origins = row.compound});
+    const runtime::PipelineStats stats = session.run(
         source, [](const beamform::VolumeImage&, std::int64_t) {});
     table.add_row({std::to_string(row.depth), std::to_string(row.compound),
                    std::to_string(stats.insonifications),

@@ -26,7 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/resource_profiler.h"
 #include "obs/trace.h"
-#include "runtime/frame_pipeline.h"
+#include "runtime/async_pipeline.h"
 
 namespace {
 
@@ -59,12 +59,12 @@ double run_once(const us3d::imaging::SystemConfig& cfg,
                 int repeats) {
   using namespace us3d;
   delay::TableFreeEngine prototype(cfg);
-  runtime::FramePipeline pipeline(
-      cfg, apod, prototype,
-      runtime::PipelineConfig{.worker_threads = 2, .queue_depth = 2});
+  runtime::FramePipeline pipeline(cfg, apod, prototype,
+                                  runtime::PipelineConfig{.worker_threads = 2});
   runtime::ReplayFrameSource source(frames, repeats);
   const auto t0 = std::chrono::steady_clock::now();
-  pipeline.run(source, [](const beamform::VolumeImage&, std::int64_t) {});
+  runtime::AsyncPipeline session(pipeline, runtime::AsyncOptions{.depth = 2});
+  session.run(source, [](const beamform::VolumeImage&, std::int64_t) {});
   return seconds_since(t0);
 }
 

@@ -1,15 +1,16 @@
 // Streaming-runtime quickstart, in two acts:
 //
-//  1) The synchronous wrapper: synthesize a diverging-wave shot sequence,
+//  1) Source-driven streaming: synthesize a diverging-wave shot sequence,
 //     wrap it in the DRAM-ingest model with WALL-CLOCK pacing (frames
 //     arrive at the modeled acquisition rate, not as fast as memcpy), and
-//     run it through FramePipeline::run with 4-origin compounding — every
-//     delivered volume is the coherent sum of one full synthetic-aperture
-//     cycle.
+//     stream it through AsyncPipeline::run with 4-origin compounding —
+//     every delivered volume is the coherent sum of one full
+//     synthetic-aperture cycle.
 //
-//  2) The async core itself: an acquisition-style loop that try_submit()s
-//     frames (non-blocking backpressure) and poll()s finished volumes off
-//     the bounded pipeline, the way a live front-end would.
+//  2) Caller-driven streaming: an acquisition-style loop that
+//     try_submit()s frames (non-blocking backpressure) and poll()s
+//     finished volumes off the bounded pipeline, the way a live front-end
+//     would.
 #include <iostream>
 #include <vector>
 
@@ -29,7 +30,7 @@ int main() {
   const probe::ApodizationMap apod(probe::MatrixProbe(cfg.probe),
                                    probe::WindowKind::kHann);
 
-  // --- Act 1: paced ingest + compounding through the sync wrapper -------
+  // --- Act 1: paced ingest + compounding through AsyncPipeline::run -----
   const delay::SyntheticAperturePlan plan = delay::diverging_wave_plan(4, 3e-3);
   std::vector<runtime::EchoFrame> frames;
   for (int shot = 0; shot < 8; ++shot) {
@@ -57,17 +58,16 @@ int main() {
 
   delay::SyntheticApertureSteerEngine sa_prototype(cfg, plan);
   runtime::FramePipeline pipeline(
-      cfg, apod, sa_prototype,
-      runtime::PipelineConfig{.worker_threads = 4,
-                              .queue_depth = 3,
-                              .compound_origins = 4});
+      cfg, apod, sa_prototype, runtime::PipelineConfig{.worker_threads = 4});
 
   std::cout << "engine: " << pipeline.engine_name() << ", "
             << pipeline.worker_threads() << " workers over "
             << pipeline.ranges().size() << " nappe ranges, compounding "
             << 4 << " origins per volume\n\n";
 
-  const runtime::PipelineStats stats = pipeline.run(
+  runtime::AsyncPipeline session(
+      pipeline, runtime::AsyncOptions{.depth = 3, .compound_origins = 4});
+  const runtime::PipelineStats stats = session.run(
       source, [](const beamform::VolumeImage& volume, std::int64_t seq) {
         const auto peak = volume.peak_abs();
         std::cout << "compound volume (through shot " << seq << "): peak "
@@ -83,7 +83,7 @@ int main() {
             << report.modeled_ingest_s * 1e3 << " ms, paced wait "
             << report.paced_wait_s * 1e3 << " ms\n";
 
-  // --- Act 2: the async core, acquisition-front-end style --------------
+  // --- Act 2: caller-driven, acquisition-front-end style ----------------
   std::cout << "\n--- async submit/poll (non-blocking backpressure) ---\n";
   delay::TableFreeEngine tf_prototype(cfg);
   runtime::FramePipeline async_host(

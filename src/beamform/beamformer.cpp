@@ -80,24 +80,9 @@ void Beamformer::reconstruct_span(const EchoBuffer& echoes,
     // sweep. Quantization is deterministic, so repeating it per span (the
     // runtime avoids this via the QuantizedEchoBuffer overload) changes
     // nothing but time.
-    US3D_EXPECTS(options.path == ReconstructPath::kBlock);
     scratch.qechoes.quantize_from(echoes);
     reconstruct_span_quantized(scratch.qechoes, engine, range, image, scratch,
                                options);
-    return;
-  }
-
-  if (options.path == ReconstructPath::kPerVoxel) {
-    // Legacy loop: one virtual compute() and one weighted sum per voxel.
-    scratch.point_delays.resize(
-        static_cast<std::size_t>(engine.element_count()));
-    imaging::for_each_focal_point(
-        grid, options.order, range, [&](const imaging::FocalPoint& fp) {
-          engine.compute(fp, scratch.point_delays);
-          float v = accumulate(echoes, scratch.point_delays);
-          if (options.normalize) v *= static_cast<float>(weight_norm_);
-          image.at(fp.i_theta, fp.i_phi, fp.i_depth) = v;
-        });
     return;
   }
 
@@ -119,8 +104,8 @@ void Beamformer::reconstruct_span(const EchoBuffer& echoes,
         kernel_.accumulate_block(echoes, scratch.plane, scratch.acc, backend);
         for (int p = 0; p < block.size(); ++p) {
           // Cast to float before the normalization multiply, exactly as
-          // the per-voxel path always has — keeps the two paths (and the
-          // pre-block history) bit-identical.
+          // beamform_point() does — keeps the block sweep bit-identical to
+          // the per-point oracle (and the pre-block history).
           float v = static_cast<float>(scratch.acc[static_cast<std::size_t>(p)]);
           if (options.normalize) v *= static_cast<float>(weight_norm_);
           const imaging::FocalPoint& fp = block[p];
@@ -157,7 +142,6 @@ void Beamformer::reconstruct_span_quantized(const QuantizedEchoBuffer& echoes,
   US3D_EXPECTS(echoes.element_count() == engine.element_count());
   US3D_EXPECTS(engine.frame_begun());
   US3D_EXPECTS(image.spec().total_points() == config_.volume.total_points());
-  US3D_EXPECTS(options.path == ReconstructPath::kBlock);
   // Normalizing by a quantized total weight of zero would wipe the volume;
   // it means the apodization map sits entirely below one uQ1.14 LSB and
   // the quantized path cannot represent it.
@@ -208,12 +192,10 @@ void Beamformer::reconstruct_span_quantized(const QuantizedEchoBuffer& echoes,
 float Beamformer::beamform_point(const EchoBuffer& echoes,
                                  delay::DelayEngine& engine,
                                  const imaging::FocalPoint& fp) const {
-  BeamformScratch& scratch = thread_scratch();
-  scratch.point_delays.resize(
-      static_cast<std::size_t>(engine.element_count()));
-  engine.compute(fp, scratch.point_delays);
-  return accumulate(echoes, scratch.point_delays) *
-         static_cast<float>(weight_norm_);
+  thread_local std::vector<std::int32_t> delays;
+  delays.resize(static_cast<std::size_t>(engine.element_count()));
+  engine.compute(fp, delays);
+  return accumulate(echoes, delays) * static_cast<float>(weight_norm_);
 }
 
 }  // namespace us3d::beamform

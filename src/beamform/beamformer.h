@@ -7,10 +7,10 @@
 // The hot path is block-based: reconstruct_span decomposes its range into
 // smooth-order FocalBlocks, asks the engine for a DelayPlane per block
 // (one virtual call per run instead of per voxel) and feeds it to the
-// DasKernel. The per-voxel path is kept selectable via
-// BeamformOptions::path for A/B benchmarking; both produce bit-identical
-// volumes. All mutable sweep state lives in a caller-owned BeamformScratch
-// so workers reuse one scratch per thread and frames allocate nothing.
+// DasKernel. A per-point sweep through beamform_point() is bit-identical
+// to it and serves as the test oracle (tests/beamform/test_das_kernel.cpp).
+// All mutable sweep state lives in a caller-owned BeamformScratch so
+// workers reuse one scratch per thread and frames allocate nothing.
 #ifndef US3D_BEAMFORM_BEAMFORMER_H
 #define US3D_BEAMFORM_BEAMFORMER_H
 
@@ -29,14 +29,6 @@
 
 namespace us3d::beamform {
 
-/// Which reconstruction inner loop to run. kBlock is the production path;
-/// kPerVoxel is the legacy one-compute()-per-focal-point loop, kept for
-/// benchmarking the dispatch overhead it pays (bench_a11).
-enum class ReconstructPath {
-  kBlock,
-  kPerVoxel,
-};
-
 struct BeamformOptions {
   imaging::ScanOrder order = imaging::ScanOrder::kNappeByNappe;
   /// Normalize each voxel by the total apodization weight.
@@ -44,33 +36,28 @@ struct BeamformOptions {
   /// Transmit origin for this frame, forwarded to the delay engine's
   /// begin_frame(). Synthetic-aperture shots pass their virtual source.
   Vec3 origin{};
-  ReconstructPath path = ReconstructPath::kBlock;
   /// Max focal points per block; 0 picks a size that keeps the DelayPlane
   /// around 256 KiB (see Beamformer::auto_block_points).
   int block_points = 0;
-  /// SIMD backend for the DAS row kernel (block path only). kAuto resolves
-  /// via the US3D_SIMD env var, then the best backend the CPU supports;
-  /// forcing an unavailable backend throws (simd/dispatch.h). All backends
-  /// produce bit-identical volumes.
+  /// SIMD backend for the DAS row kernel. kAuto resolves via the US3D_SIMD
+  /// env var, then the best backend the CPU supports; forcing an
+  /// unavailable backend throws (simd/dispatch.h). All backends produce
+  /// bit-identical volumes.
   simd::DasBackend simd = simd::DasBackend::kAuto;
   /// Arithmetic precision of the sweep. kAuto resolves via US3D_PRECISION
   /// then defaults to kDouble (the exact reference). kQuantized runs the
-  /// int16 end-to-end fixed-point path (beamform/quantized.h) — block path
-  /// only; combining it with ReconstructPath::kPerVoxel is a precondition
-  /// violation.
+  /// int16 end-to-end fixed-point path (beamform/quantized.h).
   simd::Precision precision = simd::Precision::kAuto;
 };
 
 /// Reusable sweep state: the DelayPlane the engine fills, the partial-sum
-/// array the kernel accumulates into, the block point storage, and the
-/// per-point delay row for the per-voxel path. Everything grows once to
-/// the high-water mark and is then reused — one scratch per worker thread
-/// makes whole frames allocation-free.
+/// array the kernel accumulates into and the block point storage.
+/// Everything grows once to the high-water mark and is then reused — one
+/// scratch per worker thread makes whole frames allocation-free.
 struct BeamformScratch {
   delay::DelayPlane plane;
   std::vector<double> acc;
   std::vector<imaging::FocalPoint> block_points;
-  std::vector<std::int32_t> point_delays;
   /// Quantized-path mirrors (int16 delay plane, int32 partial sums, and
   /// the echo quantization target for callers that pass a float
   /// EchoBuffer). Untouched by double-precision sweeps.
@@ -120,15 +107,17 @@ class Beamformer {
   /// the quantization per span. Passing this buffer *is* the precision
   /// choice — options.precision is not consulted — and the sweep is
   /// bit-identical to the float-EchoBuffer entry point resolving to
-  /// kQuantized (quantization is deterministic). Block path only.
+  /// kQuantized (quantization is deterministic).
   void reconstruct_span(const QuantizedEchoBuffer& echoes,
                         delay::DelayEngine& engine,
                         const imaging::ScanRange& range, VolumeImage& image,
                         BeamformScratch& scratch,
                         const BeamformOptions& options = {}) const;
 
-  /// Beamforms a single focal point (used by tests). Uses the thread-local
-  /// scratch — no per-call heap allocation.
+  /// Beamforms a single focal point, normalized: one compute() and one
+  /// weighted sum, the arithmetic of the block path voxel for voxel (the
+  /// tests' per-point oracle). Reuses a thread-local delay row — no
+  /// per-call heap allocation.
   float beamform_point(const EchoBuffer& echoes, delay::DelayEngine& engine,
                        const imaging::FocalPoint& fp) const;
 

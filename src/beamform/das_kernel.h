@@ -16,12 +16,13 @@
 //     caller (reused across blocks, no allocation in the sweep).
 //
 // Bit-compatibility: the element-outer order visits active elements in
-// ascending flat index, which is exactly the order the per-voxel
-// accumulate() added them in, and sums in double just like it did — so a
-// block sweep produces bit-identical voxels to the per-voxel path. The
-// SIMD backends keep one double accumulator per point (lanes map 1:1 to
-// points, elements fold in the same ascending order, mul + add, never
-// FMA), so every backend is additionally bit-identical to scalar.
+// ascending flat index, which is exactly the order the per-point
+// Beamformer::beamform_point() adds them in, and sums in double just like
+// it — so a block sweep produces bit-identical voxels to a per-point sweep
+// (the tests' oracle). The SIMD backends keep one double accumulator per
+// point (lanes map 1:1 to points, elements fold in the same ascending
+// order, mul + add, never FMA), so every backend is additionally
+// bit-identical to scalar.
 #ifndef US3D_BEAMFORM_DAS_KERNEL_H
 #define US3D_BEAMFORM_DAS_KERNEL_H
 

@@ -1,6 +1,7 @@
 #include "runtime/async_pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/contracts.h"
@@ -29,7 +30,7 @@ AsyncPipeline::AsyncPipeline(FramePipeline& pipeline,
                              const AsyncOptions& options)
     : pipeline_(pipeline),
       options_(options),
-      ring_(pipeline.config_.volume, ring_slots_for(options)),
+      ring_(pipeline.volume(), ring_slots_for(options)),
       input_(static_cast<std::size_t>(std::max(1, options.depth))),
       beamformed_(static_cast<std::size_t>(ring_slots_for(options))),
       start_(Clock::now()) {
@@ -40,13 +41,13 @@ AsyncPipeline::AsyncPipeline(FramePipeline& pipeline,
     // stats_ writes uniform for the thread-safety analysis.
     MutexLock lock(state_mutex_);
     stats_.worker_threads = pipeline.worker_threads();
-    stats_.simd_backend = pipeline.stats().simd_backend;
-    stats_.precision = pipeline.stats().precision;
+    stats_.simd_backend = simd::backend_name(pipeline.simd_backend());
+    stats_.precision = simd::precision_name(pipeline.precision());
     stats_.queue_depth = std::max(1, options.depth);
     stats_.ring_slots = ring_.slots();
   }
-  backend_name_ = simd::backend_name(pipeline.simd_backend_);
-  precision_name_ = simd::precision_name(pipeline.precision_);
+  backend_name_ = simd::backend_name(pipeline.simd_backend());
+  precision_name_ = simd::precision_name(pipeline.precision());
   if (!options_.metrics_scope.empty()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     input_.set_depth_gauge(
@@ -117,13 +118,8 @@ bool AsyncPipeline::submit(EchoFrame frame) {
     }
   }
   if (!pushed) {
-    {
-      MutexLock lock(state_mutex_);
-      --submitted_;
-    }
-    // A flush() parked on processed_ >= submitted_ may be waiting for the
-    // rolled-back acceptance.
-    state_cv_.notify_all();
+    MutexLock lock(state_mutex_);
+    --submitted_;
     return false;
   }
   return true;
@@ -141,7 +137,6 @@ bool AsyncPipeline::try_submit(EchoFrame& frame) {
       MutexLock lock(state_mutex_);
       --submitted_;
     }
-    state_cv_.notify_all();
     US3D_EVENT_DEBUG("pipeline.queue_full", options_.session, sequence);
     return false;
   }
@@ -168,11 +163,6 @@ void AsyncPipeline::set_queue_depth(int depth) {
 int AsyncPipeline::queue_depth() const {
   MutexLock lock(state_mutex_);
   return stats_.queue_depth;
-}
-
-void AsyncPipeline::record_ingest(double seconds) {
-  MutexLock lock(state_mutex_);
-  stats_.ingest.record(seconds);
 }
 
 PipelineStats AsyncPipeline::stats_snapshot() const {
@@ -239,26 +229,6 @@ bool AsyncPipeline::wait_for_room(const VolumeSink& sink) {
   return deliver(sink, out);
 }
 
-void AsyncPipeline::flush(const VolumeSink& sink) {
-  while (true) {
-    Output out;
-    {
-      MutexLock lock(state_mutex_);
-      // An emit for insonification i always precedes processed_ reaching
-      // i, so once processed_ catches up to submitted_ with the output
-      // queue empty there is nothing more this flush could ever deliver
-      // (a partial compound group intentionally stays buffered).
-      while (output_.empty() && !stages_done_ &&
-             !failed_.load(std::memory_order_acquire) &&
-             processed_ < submitted_) {
-        state_cv_.wait(state_mutex_);
-      }
-      if (!take_output(out)) return;
-    }
-    if (!deliver(sink, out)) return;
-  }
-}
-
 PipelineStats AsyncPipeline::finish(const VolumeSink& sink) {
   {
     MutexLock lock(state_mutex_);
@@ -275,31 +245,52 @@ PipelineStats AsyncPipeline::finish(const VolumeSink& sink) {
     stats_.insonifications = submitted_;
     stats_.dropped_frames = submitted_ - delivered_insonifications_;
     stats_.wall_s = seconds_since(start_);
-    // Fold this session into the owning pipeline's lifetime accumulator
-    // (exactly once — finished_ gates it). Doing it here rather than in
-    // run() means direct AsyncPipeline sessions account identically to
-    // the synchronous wrapper: before this lived in run(), a session
-    // driven through submit/poll/finish left pipeline.stats() untouched
-    // and lifetime counters silently drifted from delivered reality.
-    PipelineStats& life = pipeline_.stats_;
-    life.frames += stats_.frames;
-    life.insonifications += stats_.insonifications;
-    life.dropped_frames += stats_.dropped_frames;
-    life.voxels += stats_.voxels;
-    life.wall_s += stats_.wall_s;
-    life.ingest.merge(stats_.ingest);
-    life.beamform.merge(stats_.beamform);
-    life.compound.merge(stats_.compound);
-    life.consume.merge(stats_.consume);
-    life.block.merge(stats_.block);
-    // Depth is a live dial; the lifetime view reports the latest session's
-    // configured/adaptive values rather than a meaningless sum.
-    life.queue_depth = stats_.queue_depth;
-    life.ring_slots = stats_.ring_slots;
     US3D_ENSURES(stats_.lifetime_coherent());
-    US3D_ENSURES(life.lifetime_coherent());
   }
   return stats_;
+}
+
+PipelineStats AsyncPipeline::run(FrameSource& source, const VolumeSink& sink) {
+  // This thread is the ingest stage; a consumer thread drains outputs so
+  // the sink runs concurrently with later frames' beamform.
+  std::thread consumer([&] {
+    while (wait_one(sink)) {
+    }
+  });
+  std::int64_t submitted = 0;
+  // A throwing source must still wind the stages down and join the
+  // consumer before the exception leaves run() — otherwise the joinable
+  // consumer thread's destructor would terminate the process.
+  std::exception_ptr source_error;
+  try {
+    while (true) {
+      const auto t_ingest = Clock::now();
+      std::optional<EchoFrame> frame;
+      {
+        // Source fetch only; submit() records its own "stage.ingest" span
+        // covering any backpressure stall.
+        US3D_TRACE_SPAN("ingest.source", "sequence", submitted);
+        frame = source.next_frame();
+      }
+      if (!frame) break;
+      {
+        MutexLock lock(state_mutex_);
+        stats_.ingest.record(seconds_since(t_ingest));
+      }
+      if (!submit(std::move(*frame))) break;  // pipeline failed
+      ++submitted;
+    }
+  } catch (...) {
+    source_error = std::current_exception();
+  }
+  close();
+  consumer.join();
+  // finish() settles delivery and drop accounting before any rethrow, so
+  // a failed run still leaves truthful stats behind.
+  const PipelineStats stats = finish(sink);
+  if (source_error) std::rethrow_exception(source_error);
+  rethrow_if_failed();
+  return stats;
 }
 
 void AsyncPipeline::rethrow_if_failed() {
@@ -352,10 +343,13 @@ void AsyncPipeline::compound_loop() {
   int acc_slot = -1;
   std::int64_t acc_count = 0;
   std::int64_t acc_seq = 0;
+  // wait_for_room() sleeps until the beamform stage pops a frame. Taking
+  // the state lock before the notify orders this wake-up after a waiter
+  // that saw the input queue full, so the pop cannot slip between its
+  // check and its wait.
   const auto mark_processed = [&] {
     {
       MutexLock lock(state_mutex_);
-      ++processed_;
     }
     state_cv_.notify_all();
   };

@@ -1,12 +1,14 @@
-// The async streaming core: a bounded-queue stage graph that overlaps
+// The streaming runtime: a bounded-queue stage graph that overlaps
 // ingest, beamform, compounding and sink consumption, with real
-// backpressure for an acquisition front-end.
+// backpressure for an acquisition front-end. It is the only code that
+// drives a stream and the only owner of PipelineStats; the FramePipeline
+// underneath just sweeps frames.
 //
-//   submit()/try_submit() ─► input queue ─► beamform stage ─► VolumeRing slot
-//                            (bounded:       (pool sweep via     │
-//                             backpressure)   FramePipeline)     ▼
-//   poll()/wait_one()/  ◄─ output queue ◄─ compound stage (sums K origins)
-//   flush()/finish()        (in order)
+//   run()/submit()/  ─► input queue ─► beamform stage ─► VolumeRing slot
+//   try_submit()        (bounded:       (pool sweep via     │
+//                        backpressure)   FramePipeline)     ▼
+//   run()/poll()/    ◄─ output queue ◄─ compound stage (sums K origins)
+//   wait_one()/finish()  (in order)
 //
 // - The caller is the ingest stage: submit() blocks while the bounded
 //   input queue is full (that *is* the backpressure an acquisition
@@ -21,16 +23,18 @@
 //   compounded volume is bit-identical to beamforming each insonification
 //   serially and summing in shot order (property-tested for all engines).
 // - Outputs leave in acquisition order. Consumption is either caller-driven
-//   (poll / wait_one / flush — one consuming thread at a time) or the
-//   synchronous FramePipeline::run wrapper, which is a thin loop over this
-//   class: there is one scheduling implementation, not two.
+//   (poll / wait_one / wait_for_room — one consuming thread at a time) or
+//   run(), which pulls a FrameSource dry on the calling thread while a
+//   consumer thread feeds the sink.
 //
 // Failure semantics: a sink exception or a beamform/worker exception stops
 // the pipeline — submit() starts returning false, in-flight work is
 // drained and dropped (never silently lost: PipelineStats::dropped_frames
 // counts it), and finish() reports the stored exception via
 // rethrow_if_failed(). Frame accounting is delivery-based throughout:
-// stats().frames only counts volumes the sink actually received.
+// PipelineStats::frames only counts volumes the sink actually received.
+// Stats cover one session (one AsyncPipeline); nothing accumulates across
+// sessions on the same FramePipeline.
 #ifndef US3D_RUNTIME_ASYNC_PIPELINE_H
 #define US3D_RUNTIME_ASYNC_PIPELINE_H
 
@@ -39,6 +43,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -50,6 +55,12 @@
 #include "runtime/volume_ring.h"
 
 namespace us3d::runtime {
+
+/// Called once per finished output volume, in acquisition order. The
+/// volume reference is only valid for the duration of the call (its ring
+/// slot is recycled).
+using VolumeSink = std::function<void(const beamform::VolumeImage& volume,
+                                      std::int64_t sequence)>;
 
 struct AsyncOptions {
   /// In-flight output volumes: the VolumeRing size and the bound on the
@@ -78,8 +89,9 @@ class AsyncPipeline {
  public:
   /// Spawns the beamform and compound stage threads immediately. The
   /// pipeline borrows `pipeline`'s worker pool and engine clones; at most
-  /// one AsyncPipeline (or run()) may be active per FramePipeline at a
-  /// time — the pool is not reentrant.
+  /// one AsyncPipeline may be active per FramePipeline at a time — the
+  /// pool is not reentrant. Sessions may follow one another on the same
+  /// FramePipeline, also after a failed one.
   explicit AsyncPipeline(FramePipeline& pipeline,
                          const AsyncOptions& options = {});
 
@@ -117,37 +129,31 @@ class AsyncPipeline {
   /// closed and drained, or the pipeline failed).
   bool wait_for_room(const VolumeSink& sink) US3D_EXCLUDES(state_mutex_);
 
-  /// Blocks until every insonification submitted so far has been
-  /// processed through the beamform and compound stages, delivering any
-  /// finished volumes to `sink` on the way (a partial compound group
-  /// stays buffered until close()). This is what makes the synchronous
-  /// non-overlapped mode strictly sequential.
-  void flush(const VolumeSink& sink) US3D_EXCLUDES(state_mutex_);
-
   /// No more submissions; in-flight frames still complete and can be
   /// drained with wait_one()/finish(). Idempotent.
   void close();
 
   /// close() + deliver every remaining output to `sink` + join the stage
   /// threads, then return the final stats (wall_s covers construction to
-  /// finish). The session's stats are also folded into the owning
-  /// FramePipeline's lifetime stats() exactly once, so back-to-back
-  /// sessions (run() wrappers or direct AsyncPipeline use) accumulate
-  /// coherently on one pipeline. Does NOT throw on pipeline failure so
-  /// the caller always gets truthful stats — call rethrow_if_failed()
-  /// after. Idempotent. A pipeline destroyed without finish() leaves no
-  /// trace in the lifetime stats (its work was discarded, not delivered).
+  /// finish). Does NOT throw on pipeline failure so the caller always gets
+  /// truthful stats — call rethrow_if_failed() after. Idempotent.
   PipelineStats finish(const VolumeSink& sink) US3D_EXCLUDES(state_mutex_);
+
+  /// Streams frames from `source` until it runs dry, handing finished
+  /// volumes to `sink` in order from a consumer thread, so the sink
+  /// overlaps later frames' beamform. Then finish()es the session and
+  /// returns its stats. An exception thrown by the source, the sink or a
+  /// worker propagates after the stages have quiesced; frames ingested
+  /// before a source failure are still delivered, and a source exception
+  /// wins over a pipeline one. A session runs at most once.
+  PipelineStats run(FrameSource& source, const VolumeSink& sink)
+      US3D_EXCLUDES(state_mutex_);
 
   /// Rethrows the first stored failure, worker errors before sink errors.
   /// No-op if the pipeline is healthy.
   void rethrow_if_failed() US3D_EXCLUDES(state_mutex_);
 
   bool failed() const { return failed_.load(std::memory_order_acquire); }
-
-  /// Folds a caller-measured source latency into stats().ingest (the
-  /// caller is the ingest stage, so only it can time the source).
-  void record_ingest(double seconds) US3D_EXCLUDES(state_mutex_);
 
   /// One consistent mid-run stats view, taken under the pipeline's state
   /// lock. While the stream is live, `insonifications` reflects accepted
@@ -165,7 +171,7 @@ class AsyncPipeline {
   /// while compounding, and to the allocated ring size). Shrinking never
   /// drops queued work; it only refuses new submissions earlier, which is
   /// what lets a service shed a lagging session's load without stalling
-  /// its neighbours. Thread-safe; reported via stats().queue_depth.
+  /// its neighbours. Thread-safe; reported via PipelineStats::queue_depth.
   void set_queue_depth(int depth) US3D_EXCLUDES(state_mutex_);
   int queue_depth() const US3D_EXCLUDES(state_mutex_);
 
@@ -218,8 +224,6 @@ class AsyncPipeline {
   std::exception_ptr sink_error_ US3D_GUARDED_BY(state_mutex_);
   // Insonifications accepted.
   std::int64_t submitted_ US3D_GUARDED_BY(state_mutex_) = 0;
-  // Through the compound stage.
-  std::int64_t processed_ US3D_GUARDED_BY(state_mutex_) = 0;
   std::int64_t delivered_insonifications_ US3D_GUARDED_BY(state_mutex_) = 0;
   PipelineStats stats_ US3D_GUARDED_BY(state_mutex_);
 

@@ -1,20 +1,34 @@
 #include "runtime/frame_pipeline.h"
 
-#include <chrono>
-#include <exception>
-#include <optional>
-#include <thread>
-#include <utility>
+#include <algorithm>
+#include <string>
 
 #include "common/contracts.h"
-#include "obs/trace.h"
-#include "runtime/async_pipeline.h"
 
 namespace us3d::runtime {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+/// Refuses what partition_scan and the worker pool would otherwise trip
+/// over later and less legibly: a volume without voxels would only be
+/// refused at the first frame, and worker_threads < 1 by partition_scan's
+/// bare `parts > 0`.
+const PipelineConfig& checked(const imaging::SystemConfig& config,
+                              const PipelineConfig& pipeline_config) {
+  const imaging::VolumeSpec& v = config.volume;
+  if (v.n_theta < 1 || v.n_phi < 1 || v.n_depth < 1) {
+    throw ContractViolation(
+        "FramePipeline: SystemConfig::volume has no voxels (n_theta=" +
+        std::to_string(v.n_theta) + ", n_phi=" + std::to_string(v.n_phi) +
+        ", n_depth=" + std::to_string(v.n_depth) + ")");
+  }
+  if (pipeline_config.worker_threads < 1) {
+    throw ContractViolation(
+        "FramePipeline: PipelineConfig::worker_threads must be >= 1, got " +
+        std::to_string(pipeline_config.worker_threads));
+  }
+  return pipeline_config;
+}
 
 }  // namespace
 
@@ -24,13 +38,17 @@ FramePipeline::FramePipeline(const imaging::SystemConfig& config,
                              const PipelineConfig& pipeline_config)
     : config_(config),
       beamformer_(config, apodization),
-      pipeline_config_(pipeline_config),
-      ranges_(imaging::partition_scan(config.volume, pipeline_config.order,
-                                      pipeline_config.worker_threads)),
+      pipeline_config_(checked(config, pipeline_config)),
+      // Resolve the DAS backend once up front: a forced-but-unavailable
+      // backend fails here, loudly, instead of mid-stream in a worker, and
+      // a later environment change cannot make the stream diverge from
+      // what the stats report. Workers receive this concrete backend,
+      // never kAuto. Precision follows the same resolve-once rule.
+      simd_backend_(simd::resolve_backend(pipeline_config.simd)),
+      precision_(simd::resolve_precision(pipeline_config.precision)),
+      ranges_(imaging::partition_scan(config.volume, pipeline_config_.order,
+                                      pipeline_config_.worker_threads)),
       pool_(static_cast<int>(ranges_.size())) {
-  US3D_EXPECTS(pipeline_config.worker_threads >= 1);
-  US3D_EXPECTS(pipeline_config.queue_depth >= 1);
-  US3D_EXPECTS(pipeline_config.compound_origins >= 1);
   US3D_EXPECTS(prototype.element_count() ==
                probe::MatrixProbe(config.probe).element_count());
   engines_.reserve(ranges_.size());
@@ -42,31 +60,6 @@ FramePipeline::FramePipeline(const imaging::SystemConfig& config,
   // reused for every frame after — the steady state allocates nothing.
   scratch_.resize(ranges_.size());
   for (beamform::BeamformScratch& s : scratch_) s.profile = true;
-  stats_.worker_threads = worker_threads();
-  stats_.queue_depth = pipeline_config.queue_depth;
-  // Resolve the DAS backend once up front: a forced-but-unavailable
-  // backend fails here, loudly, instead of mid-stream in a worker, and a
-  // later environment change cannot make the stream diverge from what the
-  // stats report. Workers receive this concrete backend, never kAuto.
-  simd_backend_ = simd::resolve_backend(pipeline_config.simd);
-  stats_.simd_backend = simd::backend_name(simd_backend_);
-  // Precision follows the same resolve-once rule. The quantized sweep only
-  // exists on the block path, so a mis-paired config fails at construction
-  // rather than on the first frame.
-  precision_ = simd::resolve_precision(pipeline_config.precision);
-  US3D_EXPECTS(precision_ == simd::Precision::kDouble ||
-               pipeline_config.path == beamform::ReconstructPath::kBlock);
-  stats_.precision = simd::precision_name(precision_);
-}
-
-void FramePipeline::reset_stats() {
-  const std::string backend = stats_.simd_backend;
-  const std::string precision = stats_.precision;
-  stats_ = PipelineStats{};
-  stats_.worker_threads = worker_threads();
-  stats_.queue_depth = pipeline_config_.queue_depth;
-  stats_.simd_backend = backend;
-  stats_.precision = precision;
 }
 
 void FramePipeline::set_worker_cap(int cap) {
@@ -83,8 +76,6 @@ StageStats FramePipeline::beamform_into(const beamform::EchoBuffer& echoes,
       .order = pipeline_config_.order,
       .normalize = pipeline_config_.normalize,
       .origin = origin,
-      .path = pipeline_config_.path,
-      .block_points = pipeline_config_.block_points,
       .simd = simd_backend_,
       .precision = precision_,
   };
@@ -119,77 +110,9 @@ StageStats FramePipeline::beamform_into(const beamform::EchoBuffer& echoes,
 
 beamform::VolumeImage FramePipeline::reconstruct_frame(
     const beamform::EchoBuffer& echoes, const Vec3& origin) {
-  // wall_s uses one definition for every entry point — the whole call
-  // counts, exactly as run() counts its whole stream duration — so
-  // lifetime sustained_fps/voxels_per_second stay meaningful when both
-  // entry points are mixed on one pipeline (see PipelineStats).
-  const auto t_call = Clock::now();
   beamform::VolumeImage image(config_.volume);
-  US3D_TRACE_SPAN("stage.beamform", "sequence", stats_.insonifications);
-  const auto t_beamform = Clock::now();
-  stats_.block.merge(beamform_into(echoes, origin, image));
-  stats_.beamform.record(seconds_since(t_beamform));
-  ++stats_.frames;
-  ++stats_.insonifications;
-  stats_.voxels += image.voxel_count();
-  stats_.wall_s += seconds_since(t_call);
+  beamform_into(echoes, origin, image);
   return image;
-}
-
-PipelineStats FramePipeline::run(FrameSource& source, const VolumeSink& sink) {
-  AsyncOptions options;
-  options.depth =
-      pipeline_config_.double_buffered ? pipeline_config_.queue_depth : 1;
-  options.compound_origins = pipeline_config_.compound_origins;
-  AsyncPipeline async(*this, options);
-
-  // With overlap on, a consumer thread drains outputs so the sink runs
-  // concurrently with later frames' beamform; otherwise the caller
-  // flushes after every submission, keeping frames strictly sequential.
-  std::thread consumer;
-  if (pipeline_config_.double_buffered) {
-    consumer = std::thread([&] {
-      while (async.wait_one(sink)) {
-      }
-    });
-  }
-
-  const std::int64_t max_frames = pipeline_config_.max_frames;
-  std::int64_t submitted = 0;
-  // A throwing source must still wind the stages down and join the
-  // consumer before the exception leaves run() — otherwise the joinable
-  // consumer thread's destructor would terminate the process.
-  std::exception_ptr source_error;
-  try {
-    while (max_frames < 0 || submitted < max_frames) {
-      const auto t_ingest = Clock::now();
-      std::optional<EchoFrame> frame;
-      {
-        // Source fetch only; the submit() below records its own
-        // "stage.ingest" span covering any backpressure stall.
-        US3D_TRACE_SPAN("ingest.source", "sequence", submitted);
-        frame = source.next_frame();
-      }
-      if (!frame) break;
-      async.record_ingest(seconds_since(t_ingest));
-      if (!async.submit(std::move(*frame))) break;  // pipeline failed
-      ++submitted;
-      if (!pipeline_config_.double_buffered) async.flush(sink);
-    }
-  } catch (...) {
-    source_error = std::current_exception();
-  }
-  async.close();
-  if (consumer.joinable()) consumer.join();
-  // finish() folds the session into the lifetime stats (exactly once,
-  // inside the AsyncPipeline) before any rethrow, so a failed run still
-  // leaves truthful delivery/drop accounting behind.
-  const PipelineStats run_stats = async.finish(sink);
-  US3D_ENSURES(stats_.lifetime_coherent());
-
-  if (source_error) std::rethrow_exception(source_error);
-  async.rethrow_if_failed();
-  return run_stats;
 }
 
 }  // namespace us3d::runtime

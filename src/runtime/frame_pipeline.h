@@ -1,6 +1,6 @@
-// The streaming frame pipeline — the runtime that makes on-the-fly delay
-// generation pay off at the system level. A FramePipeline owns a persistent
-// worker pool and one DelayEngine clone per worker; each frame's volume is
+// The frame sweeper — the runtime that makes on-the-fly delay generation
+// pay off at the system level. A FramePipeline owns a persistent worker
+// pool and one DelayEngine clone per worker; each frame's volume is
 // partitioned into contiguous outer-axis slabs (nappes for kNappeByNappe)
 // via imaging::partition_scan, and every worker sweeps its slab with its
 // private engine through Beamformer::reconstruct_span. Because delay values
@@ -8,19 +8,15 @@
 // result is bit-identical to Beamformer::reconstruct on one thread; the
 // property tests in tests/runtime/ pin that invariant for every engine.
 //
-// Streaming is built on the async core in runtime/async_pipeline.h: a
-// bounded VolumeRing of N in-flight volumes, an overlapped
-// ingest → beamform → compound → sink stage graph, and optional K-origin
-// synthetic-aperture compounding. run() is a thin synchronous wrapper over
-// that core — there is exactly one scheduling implementation.
-// PipelineStats records per-stage latency and the sustained frame rate;
-// frame accounting is delivery-based (see pipeline_stats.h).
+// A FramePipeline sweeps one frame at a time and keeps no statistics.
+// Streaming — bounded queues, overlapped stages, compounding, delivery
+// accounting — is runtime/async_pipeline.h, which drives a FramePipeline
+// and depends on it, never the other way round.
 #ifndef US3D_RUNTIME_FRAME_PIPELINE_H
 #define US3D_RUNTIME_FRAME_PIPELINE_H
 
-#include <cstdint>
-#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "beamform/beamformer.h"
@@ -29,13 +25,10 @@
 #include "imaging/scan_order.h"
 #include "imaging/system_config.h"
 #include "probe/apodization.h"
-#include "runtime/frame_source.h"
 #include "runtime/pipeline_stats.h"
 #include "runtime/worker_pool.h"
 
 namespace us3d::runtime {
-
-class AsyncPipeline;
 
 struct PipelineConfig {
   /// Parallelism of the per-frame sweep. 1 reproduces the serial
@@ -44,53 +37,24 @@ struct PipelineConfig {
   imaging::ScanOrder order = imaging::ScanOrder::kNappeByNappe;
   /// Forwarded to BeamformOptions.
   bool normalize = true;
-  /// Inner-loop selection, forwarded to BeamformOptions. kBlock is the
-  /// production path; kPerVoxel exists for A/B throughput tracking.
-  beamform::ReconstructPath path = beamform::ReconstructPath::kBlock;
-  /// Max focal points per block (0 = auto), forwarded to BeamformOptions.
-  int block_points = 0;
   /// SIMD backend for the DAS row kernel, forwarded to BeamformOptions.
   /// kAuto honours US3D_SIMD, then picks the best the CPU supports. The
-  /// resolved choice is reported in PipelineStats::simd_backend.
+  /// resolved choice is FramePipeline::simd_backend().
   simd::DasBackend simd = simd::DasBackend::kAuto;
   /// Arithmetic precision of the beamform hot path, forwarded to
   /// BeamformOptions. kAuto honours US3D_PRECISION, then defaults to
   /// kDouble. kQuantized quantizes each frame's echoes once (int16) and
-  /// runs the integer sweep — block path only. The resolved choice is
-  /// reported in PipelineStats::precision.
+  /// runs the integer sweep. The resolved choice is
+  /// FramePipeline::precision().
   simd::Precision precision = simd::Precision::kAuto;
-  /// Overlap the sink callback with the next frame's beamform in run().
-  /// Off: frames are fully sequential (beamform, then sink, then next) —
-  /// implemented as the async core at depth 1, flushed after every frame.
-  bool double_buffered = true;
-  /// In-flight output volumes of the async core when overlapping
-  /// (double_buffered): the VolumeRing size and ingest queue depth. 2
-  /// reproduces classic double buffering; 1 shares a single volume
-  /// between beamform and sink (ingest still overlaps); larger values
-  /// absorb burstier sinks. Internally the ring still holds >= 2 volumes
-  /// when compounding (the accumulator occupies one for its whole group).
-  int queue_depth = 2;
-  /// Synthetic-aperture compounding factor K: coherently sum K successive
-  /// insonifications (one per SyntheticAperturePlan origin) into each
-  /// output volume. 1 disables compounding. The compounded volume is
-  /// bit-identical to beamforming each insonification serially and
-  /// summing in shot order.
-  int compound_origins = 1;
-  /// Stop run() after this many input frames; < 0 means drain the source.
-  std::int64_t max_frames = -1;
 };
-
-/// Called once per finished output volume, in acquisition order. The
-/// volume reference is only valid for the duration of the call (its ring
-/// slot is recycled).
-using VolumeSink = std::function<void(const beamform::VolumeImage& volume,
-                                      std::int64_t sequence)>;
 
 class FramePipeline {
  public:
   /// Clones `prototype` once per worker slab. The prototype itself is not
   /// retained and never computes — it only serves as the configured
-  /// template (tables, formats, probe geometry).
+  /// template (tables, formats, probe geometry). A volume without voxels
+  /// or worker_threads < 1 is refused before any worker is spawned.
   FramePipeline(const imaging::SystemConfig& config,
                 const probe::ApodizationMap& apodization,
                 const delay::DelayEngine& prototype,
@@ -109,46 +73,30 @@ class FramePipeline {
   int worker_cap() const;
   const std::vector<imaging::ScanRange>& ranges() const { return ranges_; }
   std::string engine_name() const { return engines_.front()->name(); }
+  const imaging::VolumeSpec& volume() const { return config_.volume; }
 
-  /// Cumulative stats since construction / the last reset_stats(). run()
-  /// additionally returns the snapshot for just that run.
-  const PipelineStats& stats() const { return stats_; }
-  void reset_stats();
+  /// Concrete DAS backend and precision, resolved once at construction
+  /// (kAuto pinned to the environment/CPU seen then), so workers never
+  /// re-resolve mid-stream and stats always name what actually ran.
+  simd::DasBackend simd_backend() const { return simd_backend_; }
+  simd::Precision precision() const { return precision_; }
 
   /// Parallel reconstruction of a single frame; bit-identical to
   /// Beamformer::reconstruct(echoes, engine, {order, normalize, origin}).
   beamform::VolumeImage reconstruct_frame(const beamform::EchoBuffer& echoes,
                                           const Vec3& origin);
 
-  /// Historical alias; see runtime::VolumeSink.
-  using VolumeSink = runtime::VolumeSink;
-
-  /// Streams frames from `source` until it runs dry (or max_frames),
-  /// beamforming (and, with compound_origins > 1, compounding) each across
-  /// the async core and handing finished volumes to `sink` in order.
-  /// Returns the stats for this run. Exceptions thrown by the sink or by
-  /// workers propagate after the pipeline has quiesced — with the run's
-  /// stats already folded into stats(), including dropped_frames. A thin
-  /// wrapper over AsyncPipeline (runtime/async_pipeline.h), which is the
-  /// API for acquisition front-ends that need non-blocking submit/poll.
-  PipelineStats run(FrameSource& source, const VolumeSink& sink);
-
- private:
-  friend class AsyncPipeline;
   /// Parallel sweep of one frame into `image` (all slabs, one per worker).
   /// Returns the per-block timing gathered from the workers' scratches.
+  /// One frame at a time: the worker pool is not reentrant.
   StageStats beamform_into(const beamform::EchoBuffer& echoes,
                            const Vec3& origin, beamform::VolumeImage& image);
 
+ private:
   imaging::SystemConfig config_;
   beamform::Beamformer beamformer_;
   PipelineConfig pipeline_config_;
-  /// Concrete DAS backend, resolved once at construction (kAuto pinned to
-  /// the environment/CPU seen then) so workers never re-resolve mid-stream
-  /// and stats always name the backend that actually ran.
   simd::DasBackend simd_backend_ = simd::DasBackend::kScalar;
-  /// Concrete arithmetic precision, resolved once at construction for the
-  /// same reasons as simd_backend_.
   simd::Precision precision_ = simd::Precision::kDouble;
   /// Frame-level echo quantization target for the kQuantized path: filled
   /// once per frame by beamform_into (frames are beamformed one at a time;
@@ -158,7 +106,6 @@ class FramePipeline {
   std::vector<std::unique_ptr<delay::DelayEngine>> engines_;  // per slab
   std::vector<beamform::BeamformScratch> scratch_;            // per slab
   WorkerPool pool_;
-  PipelineStats stats_;
 };
 
 }  // namespace us3d::runtime

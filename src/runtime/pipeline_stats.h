@@ -17,7 +17,9 @@ namespace us3d::runtime {
 /// accumulator under its historical runtime name).
 using StageStats = ::us3d::LatencyStats;
 
-/// One pipeline run's worth of measurements. Latencies are wall-clock and
+/// One AsyncPipeline session's worth of measurements (AsyncPipeline owns
+/// and returns them; nothing accumulates across sessions). Latencies are
+/// wall-clock and
 /// per frame: `ingest` covers pulling a frame from the FrameSource,
 /// `beamform` the parallel reconstruction, `compound` the
 /// synthetic-aperture accumulate stage (one record per insonification
@@ -44,12 +46,9 @@ struct PipelineStats {
   std::int64_t insonifications = 0;  ///< input frames accepted
   std::int64_t dropped_frames = 0;   ///< accepted but never delivered
   std::int64_t voxels = 0;    ///< total voxels delivered across frames
-  /// Wall-clock seconds spent inside pipeline entry points, under one
-  /// definition for every entry point: a run() contributes its whole
-  /// stream duration (first ingest to last delivery), a
-  /// reconstruct_frame() its whole call. Lifetime sustained_fps /
-  /// voxels_per_second therefore stay meaningful when both entry points
-  /// are mixed on one pipeline.
+  /// Wall-clock seconds of the session: from the AsyncPipeline's
+  /// construction to its finish() (live up to now in a mid-run snapshot).
+  /// sustained_fps / voxels_per_second divide by it.
   double wall_s = 0.0;
   int worker_threads = 0;
   /// Current queue depth (bound on in-flight frames). Configured at
@@ -57,9 +56,8 @@ struct PipelineStats {
   /// it mid-stream via AsyncPipeline::set_queue_depth, so dashboards can
   /// compare configured vs adaptive depth. 0 for hand-built stats.
   int queue_depth = 0;
-  /// Allocated VolumeRing slots (fixed for the pipeline's lifetime; the
-  /// adaptive depth is a soft cap within this allocation). 0 until a
-  /// streaming run has attached a ring.
+  /// Allocated VolumeRing slots (fixed for the session; the adaptive
+  /// depth is a soft cap within this allocation). 0 for hand-built stats.
   int ring_slots = 0;
   /// Resolved SIMD backend of the DAS row kernel ("scalar", "sse2",
   /// "avx2", "neon"; see simd/dispatch.h), recorded when the pipeline
@@ -77,11 +75,10 @@ struct PipelineStats {
     return wall_s > 0.0 ? static_cast<double>(voxels) / wall_s : 0.0;
   }
 
-  /// Lifetime-counter invariants that must survive any mix of run() /
-  /// reconstruct_frame() / direct AsyncPipeline sessions folded into one
-  /// accumulator: delivery never exceeds acceptance, drops are never
-  /// negative and never exceed acceptance. The pipeline asserts this after
-  /// every fold; the multi-run accounting tests pin it.
+  /// The session ledger's invariants: delivery never exceeds acceptance,
+  /// drops are never negative and never exceed acceptance. AsyncPipeline
+  /// asserts this on its final stats in finish(); the delivery accounting
+  /// tests pin it.
   bool lifetime_coherent() const {
     return frames >= 0 && insonifications >= frames && dropped_frames >= 0 &&
            dropped_frames <= insonifications && voxels >= 0 && wall_s >= 0.0;

@@ -175,9 +175,7 @@ struct ImagingService::Session {
     // pump, deliver — happens under that same session mutex, so nothing
     // moves between reading the ledger above and the pipeline counters
     // here). Mid-run the snapshot reports live acceptance; after close
-    // the final session stats are exact. Before this, a mid-run scrape
-    // read FramePipeline lifetime stats — zero until finish() folds the
-    // session in — so delivered counts could exceed reported acceptance.
+    // the final session stats are exact.
     out.pipeline = finished ? final_pipeline : async->stats_snapshot();
     out.precision = out.pipeline.precision;
     US3D_ENSURES(out.ledger_bounded());
@@ -288,7 +286,6 @@ Admission ImagingService::open_session(const Scenario& scenario,
     // granted; rebalancing then moves the cap, never the partitioning.
     pc.worker_threads = std::min(scenario.worker_threads,
                                  budget_.worker_threads);
-    pc.queue_depth = depth;
     const auto prototype = scenario.make_engine();
     session->pipeline = std::make_unique<runtime::FramePipeline>(
         system, apod, *prototype, pc);

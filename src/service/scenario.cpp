@@ -167,8 +167,6 @@ runtime::PipelineConfig Scenario::pipeline_config() const {
   pc.order = order;
   pc.simd = simd;
   pc.precision = precision;
-  pc.queue_depth = queue_depth;
-  pc.compound_origins = compound_origins;
   return pc;
 }
 

@@ -96,7 +96,8 @@ struct Scenario {
   /// A configured prototype engine (clone()d per worker by the pipeline).
   std::unique_ptr<delay::DelayEngine> make_engine() const;
   /// The PipelineConfig a dedicated pipeline for this scenario would use
-  /// (the service overrides workers/depth with its granted shares).
+  /// (the service overrides workers with its granted share). Queue depth
+  /// and compounding are session options (runtime::AsyncOptions).
   runtime::PipelineConfig pipeline_config() const;
   /// The shot plan for kTableSteerSA scenarios (origin_count 1 otherwise).
   delay::SyntheticAperturePlan sa_plan() const;

@@ -2,7 +2,8 @@
 // elements are never read, even with garbage delays), echo-window clamp
 // semantics, normalization, single-point blocks, and — the acceptance
 // criterion of the block refactor — bit-identical volumes from the block
-// and per-voxel reconstruction paths for every engine.
+// sweep and a per-point oracle (one beamform_point per voxel) for every
+// engine.
 #include "beamform/das_kernel.h"
 
 #include <gtest/gtest.h>
@@ -318,6 +319,25 @@ TEST(DasKernelSimd, ForcedBackendVolumesAreBitIdenticalThroughTheBeamformer) {
   }
 }
 
+/// The per-point oracle: begin_frame, then one Beamformer::beamform_point
+/// (one compute() and one weighted, normalized sum) per focal point, in
+/// `order`.
+VolumeImage per_point_sweep(const Beamformer& bf,
+                            const imaging::SystemConfig& cfg,
+                            const EchoBuffer& echoes,
+                            delay::DelayEngine& engine,
+                            imaging::ScanOrder order) {
+  VolumeImage image(cfg.volume);
+  const imaging::VolumeGrid grid(cfg.volume);
+  engine.begin_frame(Vec3{});
+  imaging::for_each_focal_point(
+      grid, order, [&](const imaging::FocalPoint& fp) {
+        image.at(fp.i_theta, fp.i_phi, fp.i_depth) =
+            bf.beamform_point(echoes, engine, fp);
+      });
+  return image;
+}
+
 TEST(DasKernel, BlockPathIsBitIdenticalToPerVoxelPathForEveryEngine) {
   const auto cfg = small_cfg();
   const probe::MatrixProbe probe(cfg.probe);
@@ -338,17 +358,13 @@ TEST(DasKernel, BlockPathIsBitIdenticalToPerVoxelPathForEveryEngine) {
          {imaging::ScanOrder::kNappeByNappe,
           imaging::ScanOrder::kScanlineByScanline}) {
       for (const int block_points : {0, 1, 13}) {
-        // The per-voxel path only exists in double; pin the block side to
-        // double too so the comparison holds under US3D_PRECISION cells.
+        // The oracle is double; pin the block side to double too so the
+        // comparison holds under US3D_PRECISION cells.
         BeamformOptions block_opt{.order = order,
-                                  .path = ReconstructPath::kBlock,
                                   .block_points = block_points,
                                   .precision = simd::Precision::kDouble};
-        BeamformOptions voxel_opt{.order = order,
-                                  .path = ReconstructPath::kPerVoxel,
-                                  .precision = simd::Precision::kDouble};
         const VolumeImage a = bf.reconstruct(echoes, *engine, block_opt);
-        const VolumeImage b = bf.reconstruct(echoes, *engine, voxel_opt);
+        const VolumeImage b = per_point_sweep(bf, cfg, echoes, *engine, order);
         const auto& spec = cfg.volume;
         for (int it = 0; it < spec.n_theta; ++it) {
           for (int ip = 0; ip < spec.n_phi; ++ip) {

@@ -11,8 +11,8 @@
 //     bounds against the exact double volume (acoustic/metrics PSNR >=
 //     kQuantMinPsnrDb on the synthesized phantoms).
 //  3. The parallel runtime's quantized frames are bit-identical to the
-//     serial quantized beamformer, the resolved precision is reported in
-//     PipelineStats, and quantized + per-voxel is rejected up front.
+//     serial quantized beamformer, and the resolved precision is reported
+//     in PipelineStats.
 //
 // Echo quantization also refuses non-finite samples instead of feeding
 // them to the peak scale and std::lround.
@@ -40,6 +40,7 @@
 #include "imaging/system_config.h"
 #include "probe/apodization.h"
 #include "probe/presets.h"
+#include "runtime/async_pipeline.h"
 #include "runtime/frame_pipeline.h"
 
 namespace us3d::beamform {
@@ -200,8 +201,11 @@ TEST(QuantizedRuntime, ResolvedPrecisionIsReportedInStats) {
   runtime::FramePipeline quantized(
       cfg, apod, prototype,
       runtime::PipelineConfig{.precision = simd::Precision::kQuantized});
-  EXPECT_EQ(quantized.stats().precision, "quantized");
-  EXPECT_NE(quantized.stats().to_json().find("\"precision\":\"quantized\""),
+  EXPECT_EQ(quantized.precision(), simd::Precision::kQuantized);
+  const runtime::PipelineStats quantized_stats =
+      runtime::AsyncPipeline(quantized).stats_snapshot();
+  EXPECT_EQ(quantized_stats.precision, "quantized");
+  EXPECT_NE(quantized_stats.to_json().find("\"precision\":\"quantized\""),
             std::string::npos);
 
   // Explicit, not kAuto: this case must hold even under a
@@ -209,30 +213,8 @@ TEST(QuantizedRuntime, ResolvedPrecisionIsReportedInStats) {
   runtime::FramePipeline exact(
       cfg, apod, prototype,
       runtime::PipelineConfig{.precision = simd::Precision::kDouble});
-  EXPECT_EQ(exact.stats().precision, "double");
-}
-
-/// Claim 3c: the quantized path is block-only. Both the serial beamformer
-/// and the pipeline constructor reject kPerVoxel + kQuantized as a
-/// precondition violation instead of silently falling back.
-TEST(QuantizedRuntime, PerVoxelPathIsRejected) {
-  const imaging::SystemConfig cfg = small_cfg();
-  const auto echoes = acoustic::synthesize_echoes(cfg, corner_phantom(cfg));
-  const auto apod = hann_apod(cfg);
-  const Beamformer bf(cfg, apod);
-  delay::TableFreeEngine engine(cfg);
-
-  BeamformOptions bad;
-  bad.path = ReconstructPath::kPerVoxel;
-  bad.precision = simd::Precision::kQuantized;
-  EXPECT_THROW(bf.reconstruct(echoes, engine, bad), ContractViolation);
-
-  EXPECT_THROW(runtime::FramePipeline(
-                   cfg, apod, engine,
-                   runtime::PipelineConfig{
-                       .path = ReconstructPath::kPerVoxel,
-                       .precision = simd::Precision::kQuantized}),
-               ContractViolation);
+  EXPECT_EQ(runtime::AsyncPipeline(exact).stats_snapshot().precision,
+            "double");
 }
 
 TEST(QuantizedEchoBuffer, RefusesNonFiniteSamplesNamingThem) {

@@ -6,7 +6,9 @@
 // real — try_submit refuses once the bounded queues and the VolumeRing
 // are full — and failures (sink or worker) stop the stream with
 // delivery-based accounting: frames means delivered, everything else is
-// surfaced as dropped_frames.
+// surfaced as dropped_frames. run() keeps all of that when it drives a
+// FrameSource, propagates source, sink and worker exceptions after the
+// stages quiesce, and leaves the FramePipeline ready for the next session.
 #include "runtime/async_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -292,7 +295,7 @@ TEST(AsyncPipeline, TrySubmitBackpressuresWithoutAConsumer) {
   EXPECT_EQ(stats.dropped_frames, 0);
 }
 
-TEST(AsyncPipeline, PollIsNonBlockingAndFlushIsExhaustive) {
+TEST(AsyncPipeline, PollIsNonBlockingAndWaitOneDeliversInOrder) {
   const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 14);
   const auto apod = rect_apod(cfg);
   auto frames = origin_frames(cfg, std::vector<Vec3>(3, Vec3{}), 43);
@@ -306,7 +309,8 @@ TEST(AsyncPipeline, PollIsNonBlockingAndFlushIsExhaustive) {
   };
   EXPECT_FALSE(async.poll(count));  // nothing submitted yet
   for (EchoFrame& f : frames) ASSERT_TRUE(async.submit(std::move(f)));
-  async.flush(count);  // blocks until all 3 are beamformed and delivered
+  // Each wait_one blocks until the next volume is beamformed.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(async.wait_one(count));
   EXPECT_EQ(delivered, 3);
   const PipelineStats stats = async.finish(count);
   async.rethrow_if_failed();
@@ -327,7 +331,7 @@ TEST(AsyncPipeline, SinkFailureStopsTheStreamAndCountsDrops) {
   };
   EchoFrame f0 = frames[0];
   ASSERT_TRUE(async.submit(std::move(f0)));
-  async.flush(failing);  // delivery attempt fails the pipeline
+  EXPECT_FALSE(async.wait_one(failing));  // delivery attempt fails it
   EXPECT_TRUE(async.failed());
   EchoFrame f1 = frames[1];
   EXPECT_FALSE(async.submit(std::move(f1)));  // refused after failure
@@ -425,7 +429,7 @@ TEST(AsyncPipeline, ConcurrentScrapeNeverObservesATornLedger) {
       async.poll(count);
     }
   }
-  async.flush(count);
+  while (delivered < kFrames) ASSERT_TRUE(async.wait_one(count));
   done.store(true, std::memory_order_release);
   scraper.join();
   async.rethrow_if_failed();
@@ -451,6 +455,238 @@ TEST(AsyncPipeline, DestructionWithoutFinishDoesNotHang) {
     // No poll, no finish: the destructor must shut the stages down.
   }
   SUCCEED();
+}
+
+/// Discards every volume.
+const VolumeSink kDevNull = [](const VolumeImage&, std::int64_t) {};
+
+TEST(AsyncPipelineRun, DeliversEveryFrameInOrderBitIdenticalToSerial) {
+  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 20);
+  const auto apod = rect_apod(cfg);
+  const EngineCase tablefree = all_engines()[1];
+  const auto frames = origin_frames(cfg, tablefree.origins_for(5), 11);
+  const auto refs = serial_references(cfg, tablefree, frames);
+
+  delay::TableFreeEngine prototype(cfg);
+  FramePipeline pipeline(cfg, apod, prototype,
+                         PipelineConfig{.worker_threads = 3});
+  ReplayFrameSource source(frames);
+  std::vector<std::int64_t> order;
+  std::vector<VolumeImage> received;
+  const PipelineStats stats = AsyncPipeline(pipeline).run(
+      source, [&](const VolumeImage& v, std::int64_t seq) {
+        order.push_back(seq);
+        received.push_back(v);  // copy: the ring slot is recycled
+      });
+  ASSERT_EQ(received.size(), refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<std::int64_t>(i));
+    expect_bit_identical(refs[i], received[i], "frame " + std::to_string(i));
+  }
+  EXPECT_EQ(stats.frames, 5);
+  EXPECT_EQ(stats.insonifications, 5);
+  EXPECT_EQ(stats.voxels, 5 * cfg.volume.total_points());
+  EXPECT_EQ(stats.ingest.count, 5);
+  EXPECT_EQ(stats.beamform.count, 5);
+  EXPECT_EQ(stats.consume.count, 5);
+  EXPECT_GT(stats.sustained_fps(), 0.0);
+}
+
+TEST(AsyncPipelineRun, CompoundedRunMatchesSerialSum) {
+  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 18);
+  const auto apod = rect_apod(cfg);
+  const EngineCase tablefree = all_engines()[1];
+  const auto frames = origin_frames(cfg, tablefree.origins_for(4), 43);
+  const auto refs = serial_references(cfg, tablefree, frames);
+  std::vector<VolumeImage> compounds;
+  for (std::size_t g = 0; g < 2; ++g) {
+    VolumeImage acc = refs[2 * g];
+    acc.add(refs[2 * g + 1]);
+    compounds.push_back(std::move(acc));
+  }
+  delay::TableFreeEngine prototype(cfg);
+  FramePipeline pipeline(cfg, apod, prototype,
+                         PipelineConfig{.worker_threads = 3});
+  ReplayFrameSource source(frames);
+  std::vector<VolumeImage> received;
+  AsyncPipeline async(pipeline, AsyncOptions{.compound_origins = 2});
+  async.run(source, [&](const VolumeImage& v, std::int64_t) {
+    received.push_back(v);
+  });
+  ASSERT_EQ(received.size(), 2u);
+  for (std::size_t g = 0; g < 2; ++g) {
+    expect_bit_identical(compounds[g], received[g],
+                         "compound " + std::to_string(g));
+  }
+}
+
+TEST(AsyncPipelineRun, PerturbedSyntheticApertureOriginsReplayIdentically) {
+  // Regression for the origin-matching bugfix: origins that round-tripped
+  // through storage/arithmetic arrive a few ulps off the plan values; the
+  // engine must select the same table and produce the same volume instead
+  // of throwing.
+  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 18);
+  const delay::SyntheticAperturePlan plan =
+      delay::diverging_wave_plan(3, 3.0e-3);
+  const auto apod = rect_apod(cfg);
+  std::vector<Vec3> origins;
+  for (const double z : plan.origin_z) origins.push_back(Vec3{0.0, 0.0, z});
+  const auto exact_frames = origin_frames(cfg, origins, 57);
+  std::vector<EchoFrame> perturbed_frames = exact_frames;
+  for (EchoFrame& f : perturbed_frames) {
+    // The same physical shot, origin nudged as if deserialized.
+    const double z = f.origin.z;
+    f.origin = Vec3{1.0e-12, -1.0e-12, z * (1.0 + 4.0e-16) - 1.0e-12};
+  }
+  const auto stream = [&](const std::vector<EchoFrame>& frames) {
+    delay::SyntheticApertureSteerEngine prototype(cfg, plan);
+    FramePipeline pipeline(cfg, apod, prototype,
+                           PipelineConfig{.worker_threads = 2});
+    ReplayFrameSource source(frames);
+    std::vector<VolumeImage> out;
+    AsyncPipeline(pipeline).run(
+        source, [&](const VolumeImage& v, std::int64_t) { out.push_back(v); });
+    return out;
+  };
+  const std::vector<VolumeImage> expected = stream(exact_frames);
+  const std::vector<VolumeImage> actual = stream(perturbed_frames);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expect_bit_identical(expected[i], actual[i],
+                         "perturbed origin frame " + std::to_string(i));
+  }
+}
+
+TEST(AsyncPipelineRun, SinkExceptionPropagatesWithTruthfulStats) {
+  // Frames used to be counted as soon as they were beamformed — a failing
+  // sink left stats claiming phantom deliveries and silently swallowed
+  // the in-flight volume. Accounting is delivery-based with drops
+  // surfaced, and finish() (idempotent) still hands the failed session's
+  // stats to the caller after run() threw.
+  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
+  const auto frames = origin_frames(cfg, std::vector<Vec3>(4, Vec3{}), 31);
+  delay::ExactDelayEngine prototype(cfg);
+  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
+                         PipelineConfig{.worker_threads = 2});
+  const VolumeSink failing = [](const VolumeImage&, std::int64_t seq) {
+    if (seq == 1) throw std::runtime_error("sink failed");
+  };
+  {
+    AsyncPipeline async(pipeline);
+    ReplayFrameSource source(frames);
+    EXPECT_THROW(async.run(source, failing), std::runtime_error);
+    const PipelineStats stats = async.finish(kDevNull);
+    EXPECT_EQ(stats.frames, 1);
+    EXPECT_GE(stats.dropped_frames, 1);
+    EXPECT_EQ(stats.insonifications, stats.frames + stats.dropped_frames);
+  }
+  // The same FramePipeline takes a new session.
+  int delivered = 0;
+  const VolumeSink count = [&](const VolumeImage&, std::int64_t) {
+    ++delivered;
+  };
+  ReplayFrameSource source(frames);
+  AsyncPipeline(pipeline).run(source, count);
+  EXPECT_EQ(delivered, 4);
+}
+
+/// EXACT delays, except that every compute() of a frame whose origin has
+/// x > 0 throws — drives the worker error paths without breaking the
+/// engine for the frames after.
+class PoisonableEngine final : public delay::DelayEngine {
+ public:
+  explicit PoisonableEngine(const imaging::SystemConfig& cfg) : exact_(cfg) {}
+  std::string name() const override { return "POISONABLE"; }
+  int element_count() const override { return exact_.element_count(); }
+  std::unique_ptr<delay::DelayEngine> clone() const override {
+    return std::make_unique<PoisonableEngine>(*this);
+  }
+
+ protected:
+  void do_begin_frame(const Vec3& origin) override {
+    poisoned_ = origin.x > 0.0;
+    exact_.begin_frame(Vec3{});
+  }
+  void do_compute(const imaging::FocalPoint& fp,
+                  std::span<std::int32_t> out) override {
+    if (poisoned_) throw std::runtime_error("engine failed mid-sweep");
+    exact_.compute(fp, out);
+  }
+
+ private:
+  delay::ExactDelayEngine exact_;
+  bool poisoned_ = false;
+};
+
+TEST(AsyncPipelineRun, WorkerExceptionPropagatesAndTheNextSessionRuns) {
+  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
+  const auto frames = origin_frames(cfg, std::vector<Vec3>(3, Vec3{}), 37);
+  std::vector<EchoFrame> poisoned = frames;
+  poisoned[1].origin.x = 1.0e-3;
+  PoisonableEngine prototype(cfg);
+  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
+                         PipelineConfig{.worker_threads = 2});
+  int delivered = 0;
+  const VolumeSink count = [&](const VolumeImage&, std::int64_t) {
+    ++delivered;
+  };
+  {
+    AsyncPipeline async(pipeline);
+    ReplayFrameSource source(poisoned);
+    EXPECT_THROW(async.run(source, count), std::runtime_error);
+    const PipelineStats stats = async.finish(kDevNull);
+    EXPECT_LE(stats.frames, 1);  // frame 0 may beat the failure out
+    EXPECT_EQ(delivered, stats.frames);
+    EXPECT_GE(stats.dropped_frames, 1);
+    EXPECT_EQ(stats.insonifications, stats.frames + stats.dropped_frames);
+  }
+  // The pool and the stage threads wound down cleanly: a new session on
+  // the same FramePipeline streams every frame.
+  delivered = 0;
+  ReplayFrameSource source(frames);
+  AsyncPipeline(pipeline).run(source, count);
+  EXPECT_EQ(delivered, 3);
+}
+
+/// A source that fails mid-stream — drives the ingest error path.
+class ThrowingSource final : public FrameSource {
+ public:
+  ThrowingSource(std::vector<EchoFrame> frames, std::size_t throw_at)
+      : frames_(std::move(frames)), throw_at_(throw_at) {}
+  std::optional<EchoFrame> next_frame() override {
+    if (emitted_ >= throw_at_) throw std::runtime_error("source failed");
+    EchoFrame frame = frames_[emitted_ % frames_.size()];
+    frame.sequence = static_cast<std::int64_t>(emitted_++);
+    return frame;
+  }
+
+ private:
+  std::vector<EchoFrame> frames_;
+  std::size_t throw_at_;
+  std::size_t emitted_ = 0;
+};
+
+TEST(AsyncPipelineRun, SourceExceptionPropagatesAfterIngestedFramesDeliver) {
+  // Regression: a throwing FrameSource used to unwind past the joinable
+  // consumer thread and std::terminate. The exception must propagate
+  // after the stages quiesce, with already ingested frames still
+  // delivered.
+  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
+  const auto frames = origin_frames(cfg, std::vector<Vec3>(2, Vec3{}), 67);
+  delay::ExactDelayEngine prototype(cfg);
+  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
+                         PipelineConfig{.worker_threads = 2});
+  int delivered = 0;
+  const VolumeSink count = [&](const VolumeImage&, std::int64_t) {
+    ++delivered;
+  };
+  ThrowingSource source(frames, /*throw_at=*/2);
+  EXPECT_THROW(AsyncPipeline(pipeline).run(source, count), std::runtime_error);
+  EXPECT_EQ(delivered, 2);
+  // The same FramePipeline takes a new session.
+  ReplayFrameSource good(frames);
+  AsyncPipeline(pipeline).run(good, count);
+  EXPECT_EQ(delivered, 4);
 }
 
 }  // namespace

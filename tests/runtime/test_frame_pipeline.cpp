@@ -3,16 +3,14 @@
 // reconstruction is BIT-IDENTICAL to the serial Beamformer::reconstruct for
 // every delay engine, every scan order and every thread count, because
 // delay values depend only on (origin, focal point). The property tests
-// sweep seeded-random system configurations to pin this down, and the
-// streaming tests check ordering, double buffering and stats plumbing.
+// sweep seeded-random system configurations to pin this down. Streaming
+// through an AsyncPipeline is tested in test_async_pipeline.cpp.
 #include "runtime/frame_pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "acoustic/phantom.h"
 #include "common/contracts.h"
 #include "common/prng.h"
-#include "runtime/async_pipeline.h"
 #include "delay/exact.h"
 #include "delay/full_table.h"
 #include "delay/synthetic_aperture.h"
@@ -225,455 +222,39 @@ TEST(FramePipeline, ThreadCountClampsToOuterExtent) {
   EXPECT_EQ(pipeline.worker_threads(), 6);  // n_depth nappes
 }
 
-std::vector<EchoFrame> synth_frames(const imaging::SystemConfig& cfg, int n,
-                                    std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  std::vector<EchoFrame> frames;
-  for (int i = 0; i < n; ++i) {
-    frames.push_back(EchoFrame{
-        acoustic::synthesize_echoes(cfg, random_phantom(cfg, rng, 2)), Vec3{},
-        0});
-  }
-  return frames;
-}
-
-TEST(FramePipeline, StreamingRunDeliversEveryFrameInOrder) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 20);
-  const auto apod = rect_apod(cfg);
-  const auto frames = synth_frames(cfg, 5, 11);
-  const beamform::Beamformer serial(cfg, apod);
-
-  // Serial references, one per frame.
-  std::vector<VolumeImage> references;
-  for (const EchoFrame& f : frames) {
-    delay::TableFreeEngine engine(cfg);
-    references.push_back(serial.reconstruct(f.echoes, engine));
-  }
-
-  for (const bool double_buffered : {false, true}) {
-    delay::TableFreeEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, apod, prototype,
-        PipelineConfig{.worker_threads = 3,
-                       .double_buffered = double_buffered});
-    ReplayFrameSource source(frames);
-    std::vector<std::int64_t> order;
-    std::vector<VolumeImage> received;
-    const PipelineStats stats =
-        pipeline.run(source, [&](const VolumeImage& v, std::int64_t seq) {
-          order.push_back(seq);
-          received.push_back(v);  // copy: the buffer is recycled
-        });
-    ASSERT_EQ(order.size(), 5u);
-    for (std::int64_t i = 0; i < 5; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    for (std::size_t i = 0; i < references.size(); ++i) {
-      expect_bit_identical(references[i], received[i],
-                           "frame " + std::to_string(i) + " db=" +
-                               std::to_string(double_buffered));
-    }
-    EXPECT_EQ(stats.frames, 5);
-    EXPECT_EQ(stats.voxels, 5 * cfg.volume.total_points());
-    EXPECT_EQ(stats.beamform.count, 5);
-    EXPECT_EQ(stats.consume.count, 5);
-    EXPECT_GT(stats.sustained_fps(), 0.0);
+TEST(FramePipeline, RefusesAVolumeWithoutVoxelsNamingTheField) {
+  // Regression: a zero-voxel volume used to be accepted — the pool was
+  // spawned over its nappes — and only refused at the first frame.
+  imaging::SystemConfig cfg = imaging::scaled_system(4, 5, 8);
+  cfg.volume.n_theta = 0;
+  cfg.volume.n_phi = 0;
+  delay::ExactDelayEngine prototype(imaging::scaled_system(4, 5, 8));
+  try {
+    FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
+                           PipelineConfig{.worker_threads = 2});
+    FAIL() << "a volume without voxels was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("volume"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("n_theta=0"), std::string::npos)
+        << e.what();
   }
 }
 
-TEST(FramePipeline, MaxFramesLimitsTheRun) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
+TEST(FramePipeline, RefusesZeroWorkerThreadsNamingTheField) {
+  const imaging::SystemConfig cfg = imaging::scaled_system(4, 5, 8);
   delay::ExactDelayEngine prototype(cfg);
-  FramePipeline pipeline(
-      cfg, rect_apod(cfg), prototype,
-      PipelineConfig{.worker_threads = 2, .max_frames = 3});
-  ReplayFrameSource source(synth_frames(cfg, 2, 21), 4);  // 8 available
-  int delivered = 0;
-  const PipelineStats stats =
-      pipeline.run(source, [&](const VolumeImage&, std::int64_t) {
-        ++delivered;
-      });
-  EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(stats.frames, 3);
-}
-
-TEST(FramePipeline, SinkExceptionsPropagateAndThePipelineSurvives) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  const auto frames = synth_frames(cfg, 4, 31);
-  for (const bool double_buffered : {false, true}) {
-    delay::ExactDelayEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, rect_apod(cfg), prototype,
-        PipelineConfig{.worker_threads = 2,
-                       .double_buffered = double_buffered});
-    {
-      ReplayFrameSource source(frames);
-      EXPECT_THROW(
-          pipeline.run(source,
-                       [&](const VolumeImage&, std::int64_t seq) {
-                         if (seq == 1) throw std::runtime_error("sink failed");
-                       }),
-          std::runtime_error)
-          << "db=" << double_buffered;
-    }
-    // The pipeline stays usable after a failed run.
-    ReplayFrameSource source(frames);
-    int delivered = 0;
-    pipeline.run(source,
-                 [&](const VolumeImage&, std::int64_t) { ++delivered; });
-    EXPECT_EQ(delivered, 4) << "db=" << double_buffered;
-  }
-}
-
-TEST(FramePipeline, SinkFailureAccountsDeliveredVersusDropped) {
-  // Bugfix regression: frames used to be counted as soon as they were
-  // beamformed — a failing sink left stats claiming phantom deliveries
-  // and silently swallowed the in-flight volume. Accounting is now
-  // delivery-based with drops surfaced.
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  const auto frames = synth_frames(cfg, 4, 33);
-  for (const bool double_buffered : {false, true}) {
-    delay::ExactDelayEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, rect_apod(cfg), prototype,
-        PipelineConfig{.worker_threads = 2,
-                       .double_buffered = double_buffered});
-    ReplayFrameSource source(frames);
-    EXPECT_THROW(
-        pipeline.run(source,
-                     [&](const VolumeImage&, std::int64_t seq) {
-                       if (seq == 1) throw std::runtime_error("sink failed");
-                     }),
-        std::runtime_error);
-    // The failed run's truth is folded into the lifetime stats before the
-    // rethrow: exactly one frame was delivered, and every insonification
-    // the pipeline accepted is either delivered or visibly dropped.
-    const PipelineStats& stats = pipeline.stats();
-    EXPECT_EQ(stats.frames, 1) << "db=" << double_buffered;
-    EXPECT_GE(stats.dropped_frames, 1) << "db=" << double_buffered;
-    EXPECT_EQ(stats.insonifications, stats.frames + stats.dropped_frames)
-        << "db=" << double_buffered;
-  }
-}
-
-/// An engine whose compute always throws — drives the worker error paths.
-class ThrowingEngine final : public delay::DelayEngine {
- public:
-  explicit ThrowingEngine(const imaging::SystemConfig& cfg)
-      : probe_(cfg.probe) {}
-  std::string name() const override { return "THROWING"; }
-  int element_count() const override { return probe_.element_count(); }
-  std::unique_ptr<delay::DelayEngine> clone() const override {
-    return std::make_unique<ThrowingEngine>(*this);
-  }
-
- protected:
-  void do_begin_frame(const Vec3&) override {}
-  void do_compute(const imaging::FocalPoint&,
-                  std::span<std::int32_t>) override {
-    throw std::runtime_error("engine failed mid-sweep");
-  }
-
- private:
-  probe::MatrixProbe probe_;
-};
-
-TEST(FramePipeline, WorkerExceptionsPropagateInBothBufferedModes) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  const auto frames = synth_frames(cfg, 3, 37);
-  for (const bool double_buffered : {false, true}) {
-    ThrowingEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, rect_apod(cfg), prototype,
-        PipelineConfig{.worker_threads = 2,
-                       .double_buffered = double_buffered});
-    int delivered = 0;
-    ReplayFrameSource source(frames);
-    EXPECT_THROW(pipeline.run(source,
-                              [&](const VolumeImage&, std::int64_t) {
-                                ++delivered;
-                              }),
-                 std::runtime_error)
-        << "db=" << double_buffered;
-    EXPECT_EQ(delivered, 0);
-    EXPECT_EQ(pipeline.stats().frames, 0) << "db=" << double_buffered;
-    EXPECT_GE(pipeline.stats().dropped_frames, 1) << "db=" << double_buffered;
-    // A second run fails the same way instead of hanging or crashing —
-    // the pool and the stage threads wound down cleanly.
-    ReplayFrameSource again(frames);
-    EXPECT_THROW(pipeline.run(again, [](const VolumeImage&, std::int64_t) {}),
-                 std::runtime_error);
-  }
-}
-
-/// A source that fails mid-stream — drives the ingest error path.
-class ThrowingSource final : public FrameSource {
- public:
-  ThrowingSource(std::vector<EchoFrame> frames, std::size_t throw_at)
-      : frames_(std::move(frames)), throw_at_(throw_at) {}
-  std::optional<EchoFrame> next_frame() override {
-    if (emitted_ >= throw_at_) throw std::runtime_error("source failed");
-    EchoFrame frame = frames_[emitted_ % frames_.size()];
-    frame.sequence = static_cast<std::int64_t>(emitted_++);
-    return frame;
-  }
-
- private:
-  std::vector<EchoFrame> frames_;
-  std::size_t throw_at_;
-  std::size_t emitted_ = 0;
-};
-
-TEST(FramePipeline, SourceExceptionsPropagateInBothBufferedModes) {
-  // Regression: in the double-buffered mode a throwing FrameSource used
-  // to unwind past the joinable consumer thread and std::terminate. The
-  // exception must propagate after the pipeline quiesces, with already
-  // ingested frames still delivered.
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  const auto frames = synth_frames(cfg, 2, 67);
-  for (const bool double_buffered : {false, true}) {
-    delay::ExactDelayEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, rect_apod(cfg), prototype,
-        PipelineConfig{.worker_threads = 2,
-                       .double_buffered = double_buffered});
-    int delivered = 0;
-    ThrowingSource source(frames, /*throw_at=*/2);
-    EXPECT_THROW(pipeline.run(source,
-                              [&](const VolumeImage&, std::int64_t) {
-                                ++delivered;
-                              }),
-                 std::runtime_error)
-        << "db=" << double_buffered;
-    // The two frames ingested before the failure complete gracefully.
-    EXPECT_EQ(delivered, 2) << "db=" << double_buffered;
-    // And the pipeline survives for the next run.
-    ReplayFrameSource good(frames);
-    int again = 0;
-    pipeline.run(good, [&](const VolumeImage&, std::int64_t) { ++again; });
-    EXPECT_EQ(again, 2) << "db=" << double_buffered;
-  }
-}
-
-TEST(FramePipeline, MaxFramesTruncatesMidStreamWithCompounding) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  delay::ExactDelayEngine prototype(cfg);
-  FramePipeline pipeline(
-      cfg, rect_apod(cfg), prototype,
-      PipelineConfig{.worker_threads = 2,
-                     .compound_origins = 2,
-                     .max_frames = 5});
-  ReplayFrameSource source(synth_frames(cfg, 2, 39), 8);  // 16 available
-  std::vector<std::int64_t> order;
-  const PipelineStats stats = pipeline.run(
-      source, [&](const VolumeImage&, std::int64_t seq) {
-        order.push_back(seq);
-      });
-  // 5 insonifications at K=2: two full compounds (seq 1, 3) plus the
-  // truncation-point partial (seq 4) — truncated work is still delivered.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 3);
-  EXPECT_EQ(order[2], 4);
-  EXPECT_EQ(stats.insonifications, 5);
-  EXPECT_EQ(stats.frames, 3);
-  EXPECT_EQ(stats.dropped_frames, 0);
-}
-
-TEST(FramePipeline, CompoundedRunMatchesSerialSum) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 18);
-  const auto apod = rect_apod(cfg);
-  const auto frames = synth_frames(cfg, 4, 43);
-  const beamform::Beamformer serial(cfg, apod);
-  std::vector<VolumeImage> compounds;
-  for (int g = 0; g < 2; ++g) {
-    delay::TableFreeEngine e0(cfg);
-    VolumeImage acc = serial.reconstruct(frames[static_cast<std::size_t>(2 * g)].echoes, e0);
-    delay::TableFreeEngine e1(cfg);
-    acc.add(serial.reconstruct(frames[static_cast<std::size_t>(2 * g + 1)].echoes, e1));
-    compounds.push_back(std::move(acc));
-  }
-  for (const bool double_buffered : {false, true}) {
-    delay::TableFreeEngine prototype(cfg);
-    FramePipeline pipeline(
-        cfg, apod, prototype,
-        PipelineConfig{.worker_threads = 3,
-                       .double_buffered = double_buffered,
-                       .compound_origins = 2});
-    ReplayFrameSource source(frames);
-    std::vector<VolumeImage> received;
-    pipeline.run(source, [&](const VolumeImage& v, std::int64_t) {
-      received.push_back(v);
-    });
-    ASSERT_EQ(received.size(), 2u);
-    for (std::size_t g = 0; g < 2; ++g) {
-      expect_bit_identical(compounds[g], received[g],
-                           "compound " + std::to_string(g) + " db=" +
-                               std::to_string(double_buffered));
+  for (const int threads : {0, -3}) {
+    try {
+      FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
+                             PipelineConfig{.worker_threads = threads});
+      FAIL() << "worker_threads=" << threads << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("worker_threads"),
+                std::string::npos)
+          << e.what();
     }
   }
-}
-
-TEST(FramePipeline, PerturbedSyntheticApertureOriginsReplayIdentically) {
-  // Regression for the origin-matching bugfix: origins that round-tripped
-  // through storage/arithmetic arrive a few ulps off the plan values; the
-  // engine must select the same table and produce the same volume instead
-  // of throwing.
-  const imaging::SystemConfig cfg = imaging::scaled_system(6, 7, 18);
-  const delay::SyntheticAperturePlan plan =
-      delay::diverging_wave_plan(3, 3.0e-3);
-  const auto apod = rect_apod(cfg);
-  SplitMix64 rng(57);
-  std::vector<EchoFrame> exact_frames;
-  std::vector<EchoFrame> perturbed_frames;
-  for (int i = 0; i < 3; ++i) {
-    const double z = plan.origin_z[static_cast<std::size_t>(i)];
-    const Vec3 origin{0.0, 0.0, z};
-    acoustic::SynthesisOptions synth;
-    synth.origin = origin;
-    auto echoes =
-        acoustic::synthesize_echoes(cfg, random_phantom(cfg, rng, 2), synth);
-    exact_frames.push_back(EchoFrame{echoes, origin, i});
-    // The same physical shot, origin nudged as if deserialized.
-    const Vec3 drifted{1.0e-12, -1.0e-12, z * (1.0 + 4.0e-16) - 1.0e-12};
-    perturbed_frames.push_back(EchoFrame{std::move(echoes), drifted, i});
-  }
-  delay::SyntheticApertureSteerEngine serial_proto(cfg, plan);
-  FramePipeline exact_pipeline(cfg, apod, serial_proto,
-                               PipelineConfig{.worker_threads = 2});
-  ReplayFrameSource exact_source(exact_frames);
-  std::vector<VolumeImage> expected;
-  exact_pipeline.run(exact_source, [&](const VolumeImage& v, std::int64_t) {
-    expected.push_back(v);
-  });
-
-  delay::SyntheticApertureSteerEngine perturbed_proto(cfg, plan);
-  FramePipeline perturbed_pipeline(cfg, apod, perturbed_proto,
-                                   PipelineConfig{.worker_threads = 2});
-  ReplayFrameSource perturbed_source(perturbed_frames);
-  std::vector<VolumeImage> actual;
-  perturbed_pipeline.run(perturbed_source,
-                         [&](const VolumeImage& v, std::int64_t) {
-                           actual.push_back(v);
-                         });
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    expect_bit_identical(expected[i], actual[i],
-                         "perturbed origin frame " + std::to_string(i));
-  }
-}
-
-TEST(FramePipeline, WallClockDefinitionIsCoherentAcrossEntryPoints) {
-  // Bugfix regression: reconstruct_frame used to fold beamform-only time
-  // into wall_s while run() folded whole-stream time, so mixing the entry
-  // points produced meaningless lifetime rates. Both now contribute their
-  // whole call under one definition.
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  delay::ExactDelayEngine prototype(cfg);
-  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
-                         PipelineConfig{.worker_threads = 2});
-  const auto frames = synth_frames(cfg, 2, 61);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    ReplayFrameSource source(frames);
-    pipeline.run(source, [](const VolumeImage&, std::int64_t) {});
-  }
-  (void)pipeline.reconstruct_frame(frames[0].echoes, Vec3{});
-  (void)pipeline.reconstruct_frame(frames[1].echoes, Vec3{});
-  const double external_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const PipelineStats& stats = pipeline.stats();
-  EXPECT_EQ(stats.frames, 4);
-  EXPECT_EQ(stats.insonifications, 4);
-  // Every second the beamform stage ran happened inside an entry point...
-  EXPECT_GE(stats.wall_s, stats.beamform.total_s);
-  // ...and wall_s never exceeds the externally observed elapsed time, so
-  // lifetime sustained_fps is a real (conservative) rate.
-  EXPECT_LE(stats.wall_s, external_s);
-  EXPECT_GT(stats.sustained_fps(), 0.0);
-}
-
-TEST(FramePipeline, StatsAccumulateAcrossRunsAndReset) {
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  delay::ExactDelayEngine prototype(cfg);
-  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
-                         PipelineConfig{.worker_threads = 2});
-  const auto frames = synth_frames(cfg, 2, 41);
-  for (int i = 0; i < 2; ++i) {
-    ReplayFrameSource source(frames);
-    pipeline.run(source, [](const VolumeImage&, std::int64_t) {});
-  }
-  EXPECT_EQ(pipeline.stats().frames, 4);
-  // reconstruct_frame() also contributes wall time, so lifetime rates
-  // stay meaningful for frame-at-a-time callers.
-  (void)pipeline.reconstruct_frame(frames[0].echoes, Vec3{});
-  EXPECT_EQ(pipeline.stats().frames, 5);
-  EXPECT_GT(pipeline.stats().wall_s, 0.0);
-  EXPECT_GT(pipeline.stats().sustained_fps(), 0.0);
-  const std::string json = pipeline.stats().to_json();
-  EXPECT_NE(json.find("\"sustained_fps\""), std::string::npos);
-  EXPECT_NE(json.find("\"beamform\""), std::string::npos);
-  pipeline.reset_stats();
-  EXPECT_EQ(pipeline.stats().frames, 0);
-  EXPECT_EQ(pipeline.stats().worker_threads, 2);
-}
-
-TEST(FramePipeline, LifetimeCountersStaySumOfSessionsAcrossRestarts) {
-  // Satellite regression: back-to-back run()s, a direct AsyncPipeline
-  // session and a reconstruct_frame() on ONE pipeline must leave the
-  // lifetime accumulator exactly equal to the sum of the per-session
-  // snapshots. Direct async sessions used to bypass the fold entirely
-  // (only run() folded), so service-style usage drifted.
-  const imaging::SystemConfig cfg = imaging::scaled_system(5, 6, 16);
-  delay::ExactDelayEngine prototype(cfg);
-  FramePipeline pipeline(cfg, rect_apod(cfg), prototype,
-                         PipelineConfig{.worker_threads = 2, .queue_depth = 2});
-  const auto frames = synth_frames(cfg, 3, 71);
-  const VolumeSink devnull = [](const VolumeImage&, std::int64_t) {};
-
-  std::int64_t frames_sum = 0, insonifications_sum = 0, voxels_sum = 0;
-  double wall_sum = 0.0;
-  for (int i = 0; i < 2; ++i) {
-    ReplayFrameSource source(frames);
-    const PipelineStats run_stats = pipeline.run(source, devnull);
-    frames_sum += run_stats.frames;
-    insonifications_sum += run_stats.insonifications;
-    voxels_sum += run_stats.voxels;
-    wall_sum += run_stats.wall_s;
-  }
-  {
-    AsyncPipeline async(pipeline, AsyncOptions{.depth = 2});
-    for (const EchoFrame& f : frames) {
-      EchoFrame copy = f;
-      ASSERT_TRUE(async.submit(std::move(copy)));
-    }
-    const PipelineStats session = async.finish(devnull);
-    async.rethrow_if_failed();
-    frames_sum += session.frames;
-    insonifications_sum += session.insonifications;
-    voxels_sum += session.voxels;
-    wall_sum += session.wall_s;
-    EXPECT_EQ(session.queue_depth, 2);
-    EXPECT_EQ(session.ring_slots, 2);
-  }
-  // After the streaming sessions, the lifetime wall clock is exactly the
-  // sum of the per-session snapshots.
-  EXPECT_NEAR(pipeline.stats().wall_s, wall_sum, 1e-9);
-
-  (void)pipeline.reconstruct_frame(frames[0].echoes, Vec3{});
-  frames_sum += 1;
-  insonifications_sum += 1;
-  voxels_sum += cfg.volume.total_points();
-
-  const PipelineStats& life = pipeline.stats();
-  EXPECT_EQ(life.frames, frames_sum);
-  EXPECT_EQ(life.insonifications, insonifications_sum);
-  EXPECT_EQ(life.voxels, voxels_sum);
-  EXPECT_EQ(life.dropped_frames, 0);
-  EXPECT_GT(life.wall_s, wall_sum);  // reconstruct_frame added its call
-  EXPECT_TRUE(life.lifetime_coherent());
-  // The streaming sessions reported their depth/ring configuration.
-  EXPECT_EQ(life.queue_depth, 2);
-  EXPECT_EQ(life.ring_slots, 2);
 }
 
 TEST(FramePipeline, WorkerCapThrottlesWithoutChangingTheVolume) {

@@ -117,8 +117,9 @@ TEST(Scenario, MaterializesSystemEngineAndPipelineConfig) {
         << s.name;
     const runtime::PipelineConfig pc = s.pipeline_config();
     EXPECT_EQ(pc.worker_threads, s.worker_threads) << s.name;
-    EXPECT_EQ(pc.queue_depth, s.queue_depth) << s.name;
-    EXPECT_EQ(pc.compound_origins, s.compound_origins) << s.name;
+    EXPECT_EQ(pc.order, s.order) << s.name;
+    EXPECT_EQ(pc.simd, s.simd) << s.name;
+    EXPECT_EQ(pc.precision, s.precision) << s.name;
   }
 }
 
