@@ -5,7 +5,8 @@
 // Then play investigator: re-read the bundle through the repo's strict
 // JSON reader and verify it is complete — manifest + all four artifacts,
 // each valid JSON, with a balanced Chrome trace. Exits nonzero if any
-// check fails, so CI can run this binary as the bundle acceptance test.
+// check fails; ctest runs it as examples/flight_recorder, the bundle
+// acceptance test.
 //
 //   US3D_POSTMORTEM_DIR=postmortem ./example_flight_recorder
 //   (defaults the directory to ./postmortem when the env var is unset)
@@ -29,7 +30,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/resource_profiler.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 #include "service/imaging_service.h"
 
@@ -193,7 +193,6 @@ int main() {
   obs::FlightRecorderOptions rec;
   const char* dir = std::getenv("US3D_POSTMORTEM_DIR");
   rec.directory = dir != nullptr ? dir : "postmortem";
-  rec.min_interval = std::chrono::milliseconds(0);  // demo: allow every dump
   obs::FlightRecorder::global().configure(rec);
   std::cout << "post-mortem bundles go to " << rec.directory << "\n";
 
@@ -210,35 +209,6 @@ int main() {
     service.submit(healthy.session, std::move(f));
   }
   drain(service, healthy.session, kDevNull, 3);
-
-  // The SLO watchdog runs alongside; its breach callback is the other
-  // dump trigger (a tiny threshold makes the demo breach deterministic).
-  obs::SloWatchdog::Options wd_opts;
-  wd_opts.breach_after = 2;
-  wd_opts.recover_after = 2;
-  std::vector<obs::SloTarget> targets;
-  obs::SloTarget tight;
-  tight.name = "demo_latency";
-  tight.kind = obs::SloTarget::Kind::kQuantileMax;
-  tight.metric = "service.latency_s.interactive";
-  tight.threshold = 1e-9;  // everything real breaches this
-  tight.min_count = 1;
-  targets.push_back(tight);
-  obs::SloWatchdog watchdog(obs::MetricsRegistry::global(), targets, wd_opts);
-  watchdog.set_breach_callback([](const obs::SloBreach& breach) {
-    std::cout << "SLO '" << breach.target
-              << (breach.entered ? "' entered breach" : "' recovered")
-              << " (observed " << breach.observed << ")\n";
-    if (breach.entered) {
-      obs::FlightRecorder::global().dump("slo_breach");
-    }
-  });
-  watchdog.evaluate_once();  // first bad window (initial histogram)
-  for (EchoFrame& f : frames_for(tiny("x"), 2, 13)) {
-    service.submit(healthy.session, std::move(f));
-  }
-  drain(service, healthy.session, kDevNull, 2);
-  watchdog.evaluate_once();  // second bad window -> breach edge -> dump
 
   // Force the failure: a sink that throws mid-delivery kills the doomed
   // session; the service's failure hook writes the post-mortem bundle.
@@ -260,7 +230,7 @@ int main() {
 
   const auto written = obs::FlightRecorder::global().bundles_written();
   std::cout << "\nbundles written: " << written << "\n";
-  check(written >= 2, "session failure + SLO breach both dumped");
+  check(written >= 1, "session failure dumped");
 
   // Find the session_failure bundle (newest matching directory).
   namespace fs = std::filesystem;

@@ -142,8 +142,8 @@ class CondVar {
   /// wait() with a deadline: returns false if the timeout elapsed without
   /// a notification, true otherwise. Same loop discipline applies — the
   /// predicate must be re-checked on return either way. This is what the
-  /// periodic observability threads (resource sampler, SLO watchdog) park
-  /// on, so stop() can interrupt a sleep instantly via notify.
+  /// resource profiler's sampler thread parks on, so stop() can interrupt
+  /// a sleep instantly via notify.
   bool wait_for(Mutex& mutex, std::chrono::nanoseconds timeout)
       US3D_REQUIRES(mutex) {
     std::unique_lock<std::mutex> lock(mutex.raw_, std::adopt_lock);

@@ -1,7 +1,8 @@
 #include "common/json_reader.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 
 #include "common/contracts.h"
 
@@ -11,6 +12,33 @@ namespace {
 
 [[noreturn]] void bad(const std::string& what) {
   throw ContractViolation("json: " + what);
+}
+
+/// RFC 8259 number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+/// — no NaN/Infinity, hex, leading '+', leading zeros or bare '.'.
+bool is_json_number(std::string_view s) {
+  std::size_t i = 0;
+  const auto digits = [&] {
+    const std::size_t start = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i > start;
+  };
+  if (i < s.size() && s[i] == '-') ++i;
+  if (i < s.size() && s[i] == '0') {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == s.size();
 }
 
 }  // namespace
@@ -178,13 +206,16 @@ class JsonReader {
     } else if (out == "null") {
       v.kind_ = JsonValue::Kind::kNull;
     } else {
-      char* end = nullptr;
-      const double x = std::strtod(out.c_str(), &end);
-      if (end != out.c_str() + out.size()) {
-        bad("malformed JSON literal '" + out + "'");
+      if (!is_json_number(out)) bad("malformed JSON literal '" + out + "'");
+      // from_chars is locale-independent and reports overflow (and
+      // underflow to zero) instead of yielding inf, so every accepted
+      // number is finite.
+      const auto [end, ec] =
+          std::from_chars(out.data(), out.data() + out.size(), v.number_);
+      if (ec != std::errc() || end != out.data() + out.size()) {
+        bad("JSON number '" + out + "' is out of range");
       }
       v.kind_ = JsonValue::Kind::kNumber;
-      v.number_ = x;
     }
     v.text_ = std::move(out);
     return v;
@@ -206,10 +237,14 @@ double JsonValue::as_double(const std::string& what) const {
 
 std::int64_t JsonValue::as_int(const std::string& what) const {
   if (kind_ != Kind::kNumber) bad(what + " must be a number");
-  char* end = nullptr;
-  const long long n = std::strtoll(text_.c_str(), &end, 10);
-  if (end != text_.c_str() + text_.size()) bad(what + " is not an integer");
-  return static_cast<std::int64_t>(n);
+  std::int64_t n = 0;
+  const auto [end, ec] =
+      std::from_chars(text_.data(), text_.data() + text_.size(), n);
+  if (ec == std::errc::result_out_of_range) bad(what + " is out of range");
+  if (ec != std::errc() || end != text_.data() + text_.size()) {
+    bad(what + " is not an integer");
+  }
+  return n;
 }
 
 const std::string& JsonValue::as_string(const std::string& what) const {

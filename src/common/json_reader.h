@@ -6,9 +6,10 @@
 // but malformed input, duplicate keys and trailing characters all throw
 // ContractViolation — a half-understood document is never acted on.
 //
-// Numbers keep their raw text alongside the parsed double so callers can
-// enforce their own width rules ("table_bits is not an integer") exactly
-// as the flat parser did.
+// Numbers follow the RFC 8259 grammar only (no NaN, Infinity, hex, '+'
+// or leading zeros) and must be finite doubles. They keep their raw text
+// alongside the parsed double so callers can enforce their own width
+// rules ("table_bits is not an integer") exactly as the flat parser did.
 #ifndef US3D_COMMON_JSON_READER_H
 #define US3D_COMMON_JSON_READER_H
 
@@ -36,8 +37,9 @@ class JsonValue {
   /// `what` (usually the field being read) in the message.
   bool as_bool(const std::string& what = "value") const;
   double as_double(const std::string& what = "value") const;
-  /// Strict integer: the raw text must parse fully as a base-10 integer
-  /// (so "2.5" and "1e3" are rejected even though they are numbers).
+  /// Strict integer: the raw text must parse fully as a base-10 int64
+  /// (so "2.5" and "1e3" are rejected even though they are numbers, and
+  /// an out-of-range integer throws instead of saturating).
   std::int64_t as_int(const std::string& what = "value") const;
   const std::string& as_string(const std::string& what = "value") const;
 

@@ -1,11 +1,26 @@
 #include "common/json_writer.h"
 
+#include <charconv>
+#include <cmath>
 #include <string>
 
 #include "common/contracts.h"
 #include "common/table_io.h"
 
 namespace us3d {
+
+namespace {
+
+/// Shortest text that parses back to exactly `v`, independent of the
+/// stream's locale and precision.
+template <typename T>
+void write_number(std::ostream& os, T v) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  os.write(buf, result.ptr - buf);
+}
+
+}  // namespace
 
 void JsonWriter::before_value() {
   if (key_pending_) {
@@ -65,7 +80,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  os_ << v;
+  write_number(os_, v);
   comma_pending_ = true;
   wrote_root_ = wrote_root_ || stack_.empty();
   return *this;
@@ -73,7 +88,7 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  os_ << v;
+  write_number(os_, v);
   comma_pending_ = true;
   wrote_root_ = wrote_root_ || stack_.empty();
   return *this;
@@ -81,7 +96,11 @@ JsonWriter& JsonWriter::value(std::uint64_t v) {
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
-  os_ << v;
+  if (std::isfinite(v)) {
+    write_number(os_, v);
+  } else {
+    os_ << "null";  // JSON has no NaN or infinity
+  }
   comma_pending_ = true;
   wrote_root_ = wrote_root_ || stack_.empty();
   return *this;

@@ -4,9 +4,10 @@
 // commas and escape strings instead of N hand-rolled dialects. The
 // writer is append-only over an std::ostream: begin/end calls must
 // balance (checked with US3D_EXPECTS), keys are only legal inside
-// objects, and numbers use the stream's default formatting — identical
-// to what the historical `os << value` emitters produced, so porting an
-// exporter onto JsonWriter never changes its output contract.
+// objects, and numbers are written in the shortest form that parses back
+// to the same value (std::to_chars: independent of the stream's locale
+// and precision). JSON has no NaN or infinity, so a non-finite double is
+// written as null.
 #ifndef US3D_COMMON_JSON_WRITER_H
 #define US3D_COMMON_JSON_WRITER_H
 

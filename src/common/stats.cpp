@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/contracts.h"
 
@@ -71,43 +70,6 @@ double SampleQuantiles::quantile(double q) const {
   const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  US3D_EXPECTS(hi > lo);
-  US3D_EXPECTS(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const auto n = static_cast<double>(counts_.size());
-  double idx = (x - lo_) / width_;
-  idx = std::clamp(idx, 0.0, n - 1.0);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::uint64_t Histogram::bin(std::size_t i) const {
-  US3D_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_lower_edge(std::size_t i) const {
-  US3D_EXPECTS(i < counts_.size());
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-std::string Histogram::to_string(std::size_t max_lines) const {
-  std::ostringstream os;
-  const std::size_t step = std::max<std::size_t>(1, counts_.size() / max_lines);
-  for (std::size_t i = 0; i < counts_.size(); i += step) {
-    std::uint64_t c = 0;
-    const std::size_t end = std::min(i + step, counts_.size());
-    for (std::size_t j = i; j < end; ++j) c += counts_[j];
-    os << "[" << bin_lower_edge(i) << ", "
-       << bin_lower_edge(end - 1) + width_ << "): " << c << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace us3d

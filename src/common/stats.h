@@ -3,9 +3,7 @@
 #define US3D_COMMON_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace us3d {
@@ -77,30 +75,6 @@ class SampleQuantiles {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-bin histogram over a closed interval; out-of-range samples land in
-/// saturating edge bins so no sample is ever silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const;
-  double bin_lower_edge(std::size_t i) const;
-  double bin_width() const { return width_; }
-  std::uint64_t total() const { return total_; }
-
-  /// Render as "lo..hi: count" lines, for bench logs.
-  std::string to_string(std::size_t max_lines = 32) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace us3d

@@ -10,13 +10,12 @@
 //     events.json      last-N structured events (+ drop count)
 //     resources.json   ResourceProfiler summary
 //
-// Triggers: explicit dump() calls, the service's session-failure hook,
-// and the SLO watchdog's breach callback. Dumps are rate-limited (a
-// crash-looping session can't flood the disk) and retention-bounded
-// (oldest bundles deleted beyond max_bundles). Disabled entirely when no
-// directory is configured — the default unless US3D_POSTMORTEM_DIR is
-// set — so production code can call dump() unconditionally from failure
-// paths.
+// Triggers: explicit dump() calls and the service's session-failure
+// hook. Dumps are rate-limited (a crash-looping session can't flood the
+// disk) and retention-bounded (oldest bundles deleted beyond
+// max_bundles). Disabled entirely when no directory is configured — the
+// default unless US3D_POSTMORTEM_DIR is set — so production code can
+// call dump() unconditionally from failure paths.
 //
 // Never call dump() while holding a session or pipeline lock: it does
 // file IO and walks every telemetry registry. The service sets a flag
@@ -60,7 +59,7 @@ class FlightRecorder {
   /// Writes one bundle and returns its directory path. Returns "" when
   /// disabled, rate-limited, or the directory cannot be created. `reason`
   /// becomes part of the bundle name — keep it a short slug
-  /// ("session_failure", "slo_breach", "manual"); non-slug characters are
+  /// ("session_failure", "manual"); non-slug characters are
   /// sanitized to '-'. Thread-safe; concurrent dumps serialize.
   std::string dump(const std::string& reason, std::int64_t session = -1);
 

@@ -165,25 +165,11 @@ std::shared_ptr<FixedHistogram> MetricsRegistry::histogram(
   return e.histogram;
 }
 
-std::shared_ptr<Counter> MetricsRegistry::find_counter(
-    const std::string& name) const {
-  MutexLock lock(mutex_);
-  const auto it = entries_.find(name);
-  return it != entries_.end() ? it->second.counter : nullptr;
-}
-
 std::shared_ptr<Gauge> MetricsRegistry::find_gauge(
     const std::string& name) const {
   MutexLock lock(mutex_);
   const auto it = entries_.find(name);
   return it != entries_.end() ? it->second.gauge : nullptr;
-}
-
-std::shared_ptr<FixedHistogram> MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  MutexLock lock(mutex_);
-  const auto it = entries_.find(name);
-  return it != entries_.end() ? it->second.histogram : nullptr;
 }
 
 std::size_t MetricsRegistry::remove(const std::string& name) {
@@ -202,11 +188,6 @@ std::size_t MetricsRegistry::remove_prefix(const std::string& prefix) {
   return removed;
 }
 
-void MetricsRegistry::clear() {
-  MutexLock lock(mutex_);
-  entries_.clear();
-}
-
 std::size_t MetricsRegistry::size() const {
   MutexLock lock(mutex_);
   return entries_.size();
@@ -219,7 +200,6 @@ std::string MetricsRegistry::snapshot_json() const {
     entries = entries_;
   }
   std::ostringstream os;
-  os.precision(15);
   JsonWriter w(os);
   w.begin_object();
   w.key("counters").begin_object();
@@ -263,37 +243,6 @@ std::string MetricsRegistry::snapshot_json() const {
   w.end_object();
   w.end_object();
   return os.str();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::map<std::string, Entry> entries;
-  {
-    MutexLock lock(mutex_);
-    entries = entries_;
-  }
-  MetricsSnapshot snap;
-  for (const auto& [name, e] : entries) {
-    if (e.counter) snap.counters[name] = e.counter->value();
-    if (e.gauge) snap.gauges[name] = e.gauge->value();
-    if (e.histogram) {
-      const FixedHistogram& h = *e.histogram;
-      MetricsSnapshot::Histogram out;
-      out.upper_bounds = h.upper_bounds();
-      out.buckets.resize(out.upper_bounds.size() + 1);
-      for (std::size_t i = 0; i < out.buckets.size(); ++i) {
-        out.buckets[i] = h.bucket_count(i);
-      }
-      out.count = h.count();
-      out.sum = h.sum();
-      out.min = h.min();
-      out.max = h.max();
-      out.p50 = h.quantile(0.50);
-      out.p90 = h.quantile(0.90);
-      out.p99 = h.quantile(0.99);
-      snap.histograms[name] = std::move(out);
-    }
-  }
-  return snap;
 }
 
 }  // namespace us3d::obs

@@ -97,28 +97,6 @@ class FixedHistogram {
   std::atomic<double> max_{0.0};
 };
 
-/// One registry's worth of metric values copied out at a single locked
-/// pass over the name map (each value is then read with its own atomic
-/// load — see the consistency contract above). This is the input to the
-/// SLO watchdog's evaluation.
-struct MetricsSnapshot {
-  struct Histogram {
-    std::vector<double> upper_bounds;
-    std::vector<std::uint64_t> buckets;  ///< upper_bounds.size()+1 wide
-    std::int64_t count = 0;
-    double sum = 0;
-    double min = 0;
-    double max = 0;
-    double p50 = 0;
-    double p90 = 0;
-    double p99 = 0;
-  };
-
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, Histogram> histograms;
-};
-
 /// Name -> metric registry. Names are dot-paths by convention
 /// ("service.sessions_admitted", "service.s3.input_queue_depth") so
 /// per-session families can be removed by prefix when the session closes.
@@ -138,28 +116,18 @@ class MetricsRegistry {
                                                 {}) US3D_EXCLUDES(mutex_);
 
   /// Lookup without create: nullptr when `name` is absent or names a
-  /// metric of another kind. The watchdog evaluates against these so a
-  /// typo'd SLO target reads "no data" instead of minting an empty node.
-  std::shared_ptr<Counter> find_counter(const std::string& name) const
-      US3D_EXCLUDES(mutex_);
+  /// metric of another kind, so a reader never mints an empty node.
   std::shared_ptr<Gauge> find_gauge(const std::string& name) const
-      US3D_EXCLUDES(mutex_);
-  std::shared_ptr<FixedHistogram> find_histogram(const std::string& name) const
       US3D_EXCLUDES(mutex_);
 
   /// Unlists a metric (holders keep their node). Returns entries removed.
   std::size_t remove(const std::string& name) US3D_EXCLUDES(mutex_);
   std::size_t remove_prefix(const std::string& prefix) US3D_EXCLUDES(mutex_);
-  void clear() US3D_EXCLUDES(mutex_);
   std::size_t size() const US3D_EXCLUDES(mutex_);
 
   /// One JSON object {"counters":{...},"gauges":{...},"histograms":{...}}
   /// with names sorted; readable back through us3d::parse_json.
   std::string snapshot_json() const US3D_EXCLUDES(mutex_);
-
-  /// Structured equivalent of snapshot_json() for in-process consumers
-  /// (SLO evaluation).
-  MetricsSnapshot snapshot() const US3D_EXCLUDES(mutex_);
 
  private:
   struct Entry {

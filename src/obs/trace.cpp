@@ -167,9 +167,6 @@ void write_duration_event(JsonWriter& w, char phase, std::uint64_t tid,
 
 void TraceCollector::write_chrome_trace(std::ostream& os) const {
   const TraceSnapshot snap = collect();
-  // Default stream precision (6 significant digits) would collapse
-  // microsecond timestamps minutes into a run; 15 digits keeps ns apart.
-  const std::streamsize saved_precision = os.precision(15);
   JsonWriter w(os);
   w.begin_object().key("traceEvents").begin_array();
   for (const ThreadTrace& t : snap.threads) {
@@ -224,7 +221,6 @@ void TraceCollector::write_chrome_trace(std::ostream& os) const {
       .end_object()
       .kv("displayTimeUnit", "ms")
       .end_object();
-  os.precision(saved_precision);
 }
 
 // ---------------------------------------------------------------------------

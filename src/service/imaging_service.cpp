@@ -219,48 +219,39 @@ ImagingService::~ImagingService() {
   for (const int id : open) close_session(id, {});
 }
 
+Admission ImagingService::refuse_locked(std::string reason) {
+  ++sessions_refused_;
+  refused_counter_->increment();
+  US3D_TRACE_INSTANT("service.refuse");
+  Admission refused;
+  refused.reason = std::move(reason);
+  return refused;
+}
+
 Admission ImagingService::open_session(const Scenario& scenario,
                                        const SessionOptions& options) {
-  Admission result;
-  const auto refuse = [&](const std::string& reason) {
-    result.admitted = false;
-    result.session = -1;
-    result.reason = reason;
-    refused_counter_->increment();
-    US3D_TRACE_INSTANT("service.refuse");
-    MutexLock lock(service_mutex_);
-    ++sessions_refused_;
-    return result;
-  };
   try {
     scenario.validate();
   } catch (const std::exception& e) {
     US3D_EVENT_WARN("service.refuse", -1, -1, "scenario validation failed");
-    return refuse(e.what());
+    MutexLock lock(service_mutex_);
+    return refuse_locked(e.what());
   }
 
   MutexLock lock(service_mutex_);
   if (static_cast<int>(sessions_.size()) >= budget_.worker_threads) {
-    ++sessions_refused_;
-    refused_counter_->increment();
-    US3D_TRACE_INSTANT("service.refuse");
     US3D_EVENT_WARN("service.refuse", -1, -1, "worker budget exhausted",
                     "open_sessions", static_cast<std::int64_t>(
                                          sessions_.size()));
-    result.reason = "worker budget exhausted";
-    return result;
+    return refuse_locked("worker budget exhausted");
   }
   const int min_slots = scenario.compound_origins > 1 ? 2 : 1;
   const int remaining = budget_.inflight_volumes - inflight_in_use_;
   if (remaining < min_slots) {
-    ++sessions_refused_;
-    refused_counter_->increment();
-    US3D_TRACE_INSTANT("service.refuse");
     US3D_EVENT_WARN("service.refuse", -1, -1,
                     "in-flight volume budget exhausted", "remaining",
                     remaining, "needed", min_slots);
-    result.reason = "in-flight volume budget exhausted";
-    return result;
+    return refuse_locked("in-flight volume budget exhausted");
   }
   const int depth = std::min(scenario.queue_depth, remaining);
 
@@ -299,13 +290,9 @@ Admission ImagingService::open_session(const Scenario& scenario,
   } catch (const std::exception& e) {
     // Construction failed (e.g. a forced SIMD backend this host cannot
     // run): the session never existed, the budget is untouched.
-    ++sessions_refused_;
-    refused_counter_->increment();
-    US3D_TRACE_INSTANT("service.refuse");
     US3D_EVENT_WARN("service.refuse", -1, -1,
                     "pipeline construction failed");
-    result.reason = e.what();
-    return result;
+    return refuse_locked(e.what());
   }
   {
     MutexLock session_lock(session->mutex);
@@ -324,6 +311,7 @@ Admission ImagingService::open_session(const Scenario& scenario,
   open_sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   inflight_gauge_->set(inflight_in_use_);
 
+  Admission result;
   result.admitted = true;
   result.session = session->id;
   result.granted_workers =

@@ -158,6 +158,11 @@ class ImagingService {
   /// is configured.
   void maybe_dump_failure(const std::shared_ptr<Session>& s)
       US3D_EXCLUDES(service_mutex_);
+  /// Records one refused open_session (sessions_refused_, the
+  /// service.sessions_refused counter, the service.refuse trace instant)
+  /// and returns the refusal carrying `reason`. Each caller logs its own
+  /// service.refuse event first, with that site's arguments.
+  Admission refuse_locked(std::string reason) US3D_REQUIRES(service_mutex_);
   /// Re-deals the worker budget across open sessions (see the scheduling
   /// model above). Caller holds service_mutex_.
   void rebalance_locked() US3D_REQUIRES(service_mutex_);

@@ -1,6 +1,8 @@
 #include "service/scenario.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/contracts.h"
@@ -47,7 +49,12 @@ std::optional<runtime::IngestPacing> parse_pacing(std::string_view name) {
 // names via the accessor `what` argument.
 
 int to_int(const std::string& field, const JsonValue& v) {
-  return static_cast<int>(v.as_int(field));
+  const std::int64_t n = v.as_int(field);
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    bad(field + " is out of range");
+  }
+  return static_cast<int>(n);
 }
 
 }  // namespace
@@ -87,7 +94,9 @@ void Scenario::validate() const {
     bad("table_bits must be one of 18, 14, 13");
   }
   if (sa_origins < 1) bad("sa_origins must be >= 1");
-  if (sa_backoff_m < 0.0) bad("sa_backoff_m must be >= 0");
+  if (!std::isfinite(sa_backoff_m) || sa_backoff_m < 0.0) {
+    bad("sa_backoff_m must be finite and >= 0");
+  }
   if (compound_origins < 1) bad("compound_origins must be >= 1");
   if (worker_threads < 1) bad("worker_threads must be >= 1");
   if (queue_depth < 1) bad("queue_depth must be >= 1");

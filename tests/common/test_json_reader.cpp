@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/contracts.h"
@@ -20,6 +22,12 @@ TEST(JsonReader, ParsesScalarsWithExactKinds) {
   EXPECT_DOUBLE_EQ(parse_json("2.5e3").as_double(), 2500.0);
   EXPECT_EQ(parse_json("-42").as_int(), -42);
   EXPECT_EQ(parse_json("\"hi\"").as_string(), "hi");
+  // Legal corners of the RFC 8259 number grammar.
+  EXPECT_EQ(parse_json("-0").as_int(), 0);
+  EXPECT_TRUE(std::signbit(parse_json("-0").as_double()));
+  EXPECT_DOUBLE_EQ(parse_json("0.5e-3").as_double(), 0.5e-3);
+  EXPECT_DOUBLE_EQ(parse_json("1E+2").as_double(), 100.0);
+  EXPECT_EQ(parse_json("9223372036854775807").as_int(), INT64_MAX);
 }
 
 TEST(JsonReader, AsIntIsStricterThanAsDouble) {
@@ -28,6 +36,13 @@ TEST(JsonReader, AsIntIsStricterThanAsDouble) {
   EXPECT_THROW(fractional.as_int("field"), ContractViolation);
   // Scientific notation is a number but not an integer literal.
   EXPECT_THROW(parse_json("1e3").as_int(), ContractViolation);
+  // An integer beyond int64 is refused, not saturated; it is still a
+  // number, so only the integer view fails.
+  EXPECT_THROW(parse_json("99999999999999999999").as_int(),
+               ContractViolation);
+  EXPECT_THROW(parse_json("-99999999999999999999").as_int(),
+               ContractViolation);
+  EXPECT_DOUBLE_EQ(parse_json("99999999999999999999").as_double(), 1e20);
 }
 
 TEST(JsonReader, ObjectMembersKeepDocumentOrder) {
@@ -70,6 +85,15 @@ TEST(JsonReader, DamageThrows) {
   EXPECT_THROW(parse_json("{\"a\":1,\"a\":2}"), ContractViolation);
   EXPECT_THROW(parse_json("nope"), ContractViolation);
   EXPECT_THROW(parse_json("\"unterminated"), ContractViolation);
+  // Number literals outside the RFC 8259 grammar, and numbers no finite
+  // double can hold.
+  for (const char* literal :
+       {"nan", "NaN", "-Infinity", "inf", "0x1p4", "+5", "007", "-01", ".5",
+        "5.", "1e", "1e+", "-", "1e999", "-1e999"}) {
+    EXPECT_THROW(parse_json(std::string("{\"x\":") + literal + "}"),
+                 ContractViolation)
+        << literal;
+  }
 }
 
 TEST(JsonReader, DepthBombIsRejectedNotStackOverflowed) {

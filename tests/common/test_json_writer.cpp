@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -56,6 +57,37 @@ TEST(JsonWriter, NestedContainersRoundTripThroughTheReader) {
   EXPECT_EQ(rows[0].as_int(), 1);
   EXPECT_EQ(rows[2].at("k").as_string(), "v");
   EXPECT_EQ(doc.at("spliced").at("x").as_int(), 9);
+}
+
+TEST(JsonWriter, DoublesRoundTripExactly) {
+  for (const double v : {0.0041234567891, 0.1, 1.0 / 3.0, -2.5e-300, 1e21,
+                         123456789.123456789, 5e-324}) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.value(v);
+    EXPECT_EQ(parse_json(os.str()).as_double(), v) << os.str();
+  }
+  // The stream's precision setting does not truncate the output.
+  std::ostringstream os;
+  os.precision(3);
+  JsonWriter w(os);
+  w.value(0.0041234567891);
+  EXPECT_EQ(os.str(), "0.0041234567891");
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreWrittenAsNull) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_array()
+      .value(std::numeric_limits<double>::quiet_NaN())
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .end_array();
+  EXPECT_EQ(os.str(), "[null,null,null]");
+  const JsonValue doc = parse_json(os.str());
+  for (const JsonValue& v : doc.elements()) {
+    EXPECT_TRUE(v.is_null());
+  }
 }
 
 TEST(JsonWriter, StringsAreEscaped) {

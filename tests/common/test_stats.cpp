@@ -115,37 +115,5 @@ TEST(SampleQuantiles, RejectsOutOfRangeQuantile) {
   EXPECT_THROW(q.quantile(1.1), ContractViolation);
 }
 
-TEST(Histogram, BinsAndSaturatingEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(-5.0);  // clamps to bin 0
-  h.add(50.0);  // clamps to bin 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(9), 2u);
-  for (std::size_t i = 1; i < 9; ++i) EXPECT_EQ(h.bin(i), 0u);
-}
-
-TEST(Histogram, EdgesAreUniform) {
-  Histogram h(-1.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 0.5);
-  EXPECT_DOUBLE_EQ(h.bin_lower_edge(0), -1.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower_edge(3), 0.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, ToStringMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  const std::string s = h.to_string();
-  EXPECT_NE(s.find(": 1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace us3d

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 
@@ -27,7 +28,14 @@ TEST(EngineFamily, NamesRoundTrip) {
 }
 
 TEST(Scenario, JsonRoundTripsEveryBuiltin) {
-  const ScenarioCatalog catalog = ScenarioCatalog::builtin();
+  ScenarioCatalog catalog = ScenarioCatalog::builtin();
+  // A backoff with more significant digits than the stream default (6)
+  // must come back bit-exact, not rounded.
+  Scenario fine;
+  fine.name = "fine_backoff";
+  fine.engine = EngineFamily::kTableSteerSA;
+  fine.sa_backoff_m = 0.0041234567891;
+  catalog.add(fine);
   for (const Scenario& s : catalog.scenarios()) {
     const std::string json = s.to_json();
     const Scenario back = Scenario::from_json(json);
@@ -83,6 +91,18 @@ TEST(Scenario, FromJsonRejectsMalformedInput) {
                ContractViolation);
   EXPECT_THROW(Scenario::from_json("{\"name\":\"x\",\"n_lines\":8.5}"),
                ContractViolation);
+  // Integers that do not fit an int are refused, never wrapped (2^32 + 2
+  // would otherwise land as n_lines = 2).
+  EXPECT_THROW(
+      Scenario::from_json("{\"name\":\"x\",\"n_lines\":4294967298}"),
+      ContractViolation);
+  EXPECT_THROW(
+      Scenario::from_json("{\"name\":\"x\",\"worker_threads\":4294967297}"),
+      ContractViolation);
+  // A backoff no finite double holds.
+  EXPECT_THROW(
+      Scenario::from_json("{\"name\":\"x\",\"sa_backoff_m\":1e999}"),
+      ContractViolation);
   // Duplicate keys are ambiguous.
   EXPECT_THROW(Scenario::from_json("{\"name\":\"x\",\"name\":\"y\"}"),
                ContractViolation);
@@ -90,6 +110,23 @@ TEST(Scenario, FromJsonRejectsMalformedInput) {
   EXPECT_THROW(Scenario::from_json("{\"name\":\"x\",\"table_bits\":12}"),
                ContractViolation);
   EXPECT_THROW(Scenario::from_json("{\"name\":\"\"}"), ContractViolation);
+}
+
+TEST(Scenario, ValidateRefusesNonFiniteBackoffNamingTheField) {
+  for (const double backoff : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -1e-3}) {
+    Scenario s;
+    s.name = "x";
+    s.sa_backoff_m = backoff;
+    try {
+      s.validate();
+      FAIL() << "accepted sa_backoff_m = " << backoff;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("sa_backoff_m"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Scenario, NameEscapingSurvivesTheRoundTrip) {
