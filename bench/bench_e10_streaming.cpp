@@ -3,185 +3,15 @@
 // GB/s, and the circular-buffer latency margin ("an ample margin of 1k
 // cycles"), checked with a cycle-level producer/consumer simulation
 // including DRAM blackout injection.
-#include <fstream>
+#include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "acoustic/echo_synth.h"
 #include "bench_util.h"
-#include "delay/synthetic_aperture.h"
-#include "delay/tablefree.h"
 #include "hw/delay_fabric.h"
-#include "runtime/async_pipeline.h"
 
-namespace {
-
-us3d::imaging::SystemConfig sweep_system(bool tiny) {
-  // --tiny keeps the CI smoke run fast; the full sizing makes the
-  // per-frame beamform dominate thread handoff.
-  return tiny ? us3d::imaging::scaled_system(8, 12, 48)
-              : us3d::imaging::scaled_system(12, 24, 120);
-}
-
-std::vector<us3d::runtime::EchoFrame> sweep_frames(
-    const us3d::imaging::SystemConfig& cfg, int count) {
+int main() {
   using namespace us3d;
-  const imaging::VolumeGrid grid(cfg.volume);
-  const acoustic::Phantom phantom{
-      acoustic::PointScatterer{
-          grid.focal_point(cfg.volume.n_theta / 2, cfg.volume.n_phi / 2,
-                           cfg.volume.n_depth / 2)
-              .position,
-          1.0},
-      acoustic::PointScatterer{
-          grid.focal_point(cfg.volume.n_theta / 4, 3 * cfg.volume.n_phi / 4,
-                           3 * cfg.volume.n_depth / 4)
-              .position,
-          0.7},
-  };
-  return std::vector<runtime::EchoFrame>(
-      static_cast<std::size_t>(count),
-      runtime::EchoFrame{acoustic::synthesize_echoes(cfg, phantom), Vec3{},
-                         0});
-}
-
-// Streaming workload for the host-side parallel runtime: a short replayed
-// shot sequence streamed through AsyncPipeline::run at each worker count,
-// so BENCH_runtime.json tracks the thread scaling.
-std::string runtime_thread_sweep(bool tiny) {
-  using namespace us3d;
-  bench::section("parallel runtime: FramePipeline thread sweep (TABLEFREE)");
-
-  const imaging::SystemConfig cfg = sweep_system(tiny);
-  const probe::ApodizationMap apod(probe::MatrixProbe(cfg.probe),
-                                   probe::WindowKind::kRect);
-  const auto frames = sweep_frames(cfg, 2);
-  const std::vector<int> thread_counts =
-      tiny ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
-
-  MarkdownTable table({"threads", "frames", "beamform [ms/frame]",
-                       "sustained fps", "voxels/s", "speedup"});
-  std::ostringstream sweep_json;
-  double fps_1thread = 0.0;
-  for (const int threads : thread_counts) {
-    delay::TableFreeEngine prototype(cfg);
-    runtime::FramePipeline pipeline(
-        cfg, apod, prototype,
-        runtime::PipelineConfig{.worker_threads = threads});
-    runtime::ReplayFrameSource source(frames, /*repeats=*/tiny ? 1 : 2);
-    const runtime::PipelineStats stats = runtime::AsyncPipeline(pipeline).run(
-        source, [](const beamform::VolumeImage&, std::int64_t) {});
-    if (threads == 1) fps_1thread = stats.sustained_fps();
-    const double speedup =
-        fps_1thread > 0.0 ? stats.sustained_fps() / fps_1thread : 0.0;
-    table.add_row({std::to_string(threads), std::to_string(stats.frames),
-                   format_double(stats.beamform.mean_s() * 1e3, 2),
-                   format_double(stats.sustained_fps(), 2),
-                   format_si(stats.voxels_per_second(), "voxels/s", 2),
-                   format_double(speedup, 2) + "x"});
-    if (sweep_json.tellp() > 0) sweep_json << ',';
-    sweep_json << "{\"threads\":" << threads << ",\"speedup\":" << speedup
-               << ",\"stats\":" << stats.to_json() << '}';
-  }
-  table.print(std::cout);
-  std::cout << "\nEach worker sweeps a contiguous nappe range with its own "
-               "cloned TABLEFREE engine;\nthe output is bit-identical to the "
-               "serial beamformer at every thread count\n(asserted by "
-               "tests/runtime/), so the speedup column is free lunch.\n";
-  return sweep_json.str();
-}
-
-// The async bounded-queue runtime: queue-depth x compounding sweep. Each
-// row streams a synthetic-aperture shot sequence through the overlapped
-// ingest/beamform/compound/sink stage graph; with compound_origins = K
-// every delivered volume coherently sums K insonifications (bit-identical
-// to the serial sum — tests/runtime/test_async_pipeline.cpp pins it).
-std::string async_compound_sweep(bool tiny) {
-  using namespace us3d;
-  bench::section(
-      "async runtime: queue depth x compounding sweep (TABLESTEER-SA)");
-
-  const imaging::SystemConfig cfg = sweep_system(tiny);
-  const probe::ApodizationMap apod(probe::MatrixProbe(cfg.probe),
-                                   probe::WindowKind::kRect);
-  const delay::SyntheticAperturePlan plan =
-      delay::diverging_wave_plan(4, 4.0e-3);
-  const int shots = tiny ? 8 : 16;
-  auto base = sweep_frames(cfg, 1);
-  std::vector<runtime::EchoFrame> frames;
-  for (int i = 0; i < shots; ++i) {
-    runtime::EchoFrame f = base.front();
-    f.origin = Vec3{0.0, 0.0,
-                    plan.origin_z[static_cast<std::size_t>(i) %
-                                  plan.origin_z.size()]};
-    frames.push_back(std::move(f));
-  }
-
-  struct Row {
-    int depth;
-    int compound;
-  };
-  const std::vector<Row> rows = tiny
-                                    ? std::vector<Row>{{1, 1}, {2, 1}, {2, 4}}
-                                    : std::vector<Row>{{1, 1},
-                                                       {2, 1},
-                                                       {4, 1},
-                                                       {2, 4},
-                                                       {4, 4}};
-  MarkdownTable table({"queue depth", "compound K", "insonifications",
-                       "volumes out", "sustained fps", "voxels/s"});
-  std::ostringstream sweep_json;
-  for (const Row row : rows) {
-    delay::SyntheticApertureSteerEngine prototype(cfg, plan);
-    runtime::FramePipeline pipeline(
-        cfg, apod, prototype, runtime::PipelineConfig{.worker_threads = 2});
-    runtime::ReplayFrameSource source(frames);
-    runtime::AsyncPipeline session(
-        pipeline, runtime::AsyncOptions{.depth = row.depth,
-                                        .compound_origins = row.compound});
-    const runtime::PipelineStats stats = session.run(
-        source, [](const beamform::VolumeImage&, std::int64_t) {});
-    table.add_row({std::to_string(row.depth), std::to_string(row.compound),
-                   std::to_string(stats.insonifications),
-                   std::to_string(stats.frames),
-                   format_double(stats.sustained_fps(), 2),
-                   format_si(stats.voxels_per_second(), "voxels/s", 2)});
-    if (sweep_json.tellp() > 0) sweep_json << ',';
-    sweep_json << "{\"mode\":\"async\",\"queue_depth\":" << row.depth
-               << ",\"compound_origins\":" << row.compound
-               << ",\"stats\":" << stats.to_json() << '}';
-  }
-  table.print(std::cout);
-  std::cout << "\nOrigin k+1 beamforms while origin k accumulates; the "
-               "compounded volume is the\nexact serial sum. Depth > 2 only "
-               "pays when the sink is burstier than the\nbeamformer — the "
-               "ring bounds in-flight volumes either way.\n";
-  return sweep_json.str();
-}
-
-void write_bench_json(const us3d::imaging::SystemConfig& cfg, bool tiny,
-                      const std::string& sweep_json,
-                      const std::string& async_json) {
-  // "tiny" marks CI smoke numbers: trajectory tooling must not diff them
-  // against full-size sweeps (different volume, thread set and repeats).
-  std::ofstream json("BENCH_runtime.json");
-  json << "{\"bench\":\"e10_runtime_thread_sweep\",\"engine\":\"TABLEFREE\","
-       << "\"tiny\":" << (tiny ? "true" : "false") << ','
-       << "\"probe\":\"" << cfg.probe.elements_x << 'x'
-       << cfg.probe.elements_y << "\",\"volume\":\"" << cfg.volume.n_theta
-       << 'x' << cfg.volume.n_phi << 'x' << cfg.volume.n_depth << "\","
-       << "\"sweep\":[" << sweep_json << "],\"async_sweep\":[" << async_json
-       << "]}\n";
-  std::cout << "\nwrote BENCH_runtime.json\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace us3d;
-  const bool tiny = argc > 1 && std::string(argv[1]) == "--tiny";
   bench::banner("E10", "TABLESTEER streaming and buffering (Sec. V-B)");
 
   const imaging::SystemConfig cfg = imaging::paper_system();
@@ -204,17 +34,6 @@ int main(int argc, char** argv) {
       .row("BRAM reads per fetched entry", "(implied 8x reuse)",
            format_double(a.reuse_per_fetched_entry, 1) + "x");
   cmp.print();
-
-  if (tiny) {
-    // --tiny (the CI smoke mode) skips the cycle-level hw simulations —
-    // they track paper claims that do not change per PR — and shrinks the
-    // runtime sweeps below.
-    const imaging::SystemConfig host_cfg = sweep_system(true);
-    const std::string thread_rows = runtime_thread_sweep(true);
-    const std::string async_rows = async_compound_sweep(true);
-    write_bench_json(host_cfg, /*tiny=*/true, thread_rows, async_rows);
-    return 0;
-  }
 
   bench::section("cycle-level circular-buffer simulation (4 insonifications)");
   MarkdownTable t({"Scenario", "BW headroom", "Blackouts", "Underrun",
@@ -279,10 +98,5 @@ int main(int argc, char** argv) {
   std::cout << "\nHalving the slice halves both the BRAM cost and the "
                "stall tolerance: the chunk\nsize is a pure "
                "area-vs-robustness dial, as Sec. V-B implies.\n";
-
-  const imaging::SystemConfig host_cfg = sweep_system(false);
-  const std::string thread_rows = runtime_thread_sweep(false);
-  const std::string async_rows = async_compound_sweep(false);
-  write_bench_json(host_cfg, /*tiny=*/false, thread_rows, async_rows);
   return 0;
 }

@@ -1,14 +1,15 @@
-// OBS — telemetry overhead on the e10 streaming workload: the same
-// TABLEFREE FramePipeline sweep bench_e10 times, run back to back with
-// the observability layers runtime-enabled and runtime-disabled, so
-// BENCH_obs.json pins what turning them on costs. Two gated cells:
-// tracing alone, and the full stack (trace + event log + resource
-// profiler) — each must stay <= 5% on --tiny, judged on the median of
-// per-rep ratios with the modes interleaved within each rep. Micro-cells
-// price one span record, one event emit and one profiler sampling pass. In a US3D_TRACING=OFF
-// build the span sites are compiled out entirely and both trace modes
-// measure the same code — `tracing_compiled` in the JSON says which
-// claim a given trajectory point makes.
+// OBS — telemetry overhead on a streaming workload: a TABLEFREE
+// FramePipeline (2 workers) streamed through AsyncPipeline::run at queue
+// depth 2, run back to back with the observability layers
+// runtime-enabled and runtime-disabled, so BENCH_obs.json pins what
+// turning them on costs. Two gated cells: tracing alone, and the full
+// stack (trace + event log + resource profiler) — each must stay <= 5% on
+// --tiny, judged on the median of per-rep ratios with the modes
+// interleaved within each rep. Micro-cells price one span record, one
+// event emit and one profiler sampling pass. In a US3D_TRACING=OFF build
+// the span sites are compiled out entirely and both trace modes measure
+// the same code — `tracing_compiled` in the JSON says which claim a given
+// trajectory point makes.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -31,8 +32,8 @@
 namespace {
 
 us3d::imaging::SystemConfig workload_system(bool tiny) {
-  // Mirrors bench_e10's sweep_system so the overhead number is measured
-  // on the workload the acceptance criterion names.
+  // --tiny: 8x8 probe, 12x12x48 volume; otherwise 12x12 probe,
+  // 24x24x120, where the per-frame beamform dominates thread handoff.
   return tiny ? us3d::imaging::scaled_system(8, 12, 48)
               : us3d::imaging::scaled_system(12, 24, 120);
 }

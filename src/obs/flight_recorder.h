@@ -1,7 +1,9 @@
 // Flight recorder: turns the always-on telemetry (span rings, metrics,
 // event log, resource profiler) into a post-mortem artifact the moment
-// something goes wrong. A dump atomically snapshots all four layers into
-// one timestamped bundle directory:
+// something goes wrong. A dump snapshots the four layers one after
+// another (each layer's own snapshot is consistent, the four together are
+// not one instant) into a private staging directory, then renames it
+// into place, so a bundle directory appears only once it is complete:
 //
 //   <dir>/pm-<seq>-<reason>/
 //     manifest.json    reason, session, timestamp, artifact list
@@ -10,9 +12,16 @@
 //     events.json      last-N structured events (+ drop count)
 //     resources.json   ResourceProfiler summary
 //
+// <seq> is one more than the highest bundle ordinal already in <dir>, so
+// ordinals keep counting across recorders and processes sharing a
+// directory; a rename never replaces an existing bundle (a taken name
+// moves the dump to the next ordinal). Two processes dumping at the same
+// moment with different reasons can still publish one ordinal twice.
+// Staging directories (".partial-*") are never listed or counted.
+//
 // Triggers: explicit dump() calls and the service's session-failure
 // hook. Dumps are rate-limited (a crash-looping session can't flood the
-// disk) and retention-bounded (oldest bundles deleted beyond
+// disk) and retention-bounded (lowest-ordinal bundles deleted beyond
 // max_bundles). Disabled entirely when no directory is configured — the
 // default unless US3D_POSTMORTEM_DIR is set — so production code can
 // call dump() unconditionally from failure paths.
@@ -70,7 +79,6 @@ class FlightRecorder {
  private:
   mutable Mutex mutex_;
   FlightRecorderOptions options_ US3D_GUARDED_BY(mutex_);
-  std::uint64_t next_bundle_id_ US3D_GUARDED_BY(mutex_) = 1;
   std::chrono::steady_clock::time_point last_dump_ US3D_GUARDED_BY(mutex_);
   bool dumped_once_ US3D_GUARDED_BY(mutex_) = false;
   std::uint64_t bundles_written_ US3D_GUARDED_BY(mutex_) = 0;

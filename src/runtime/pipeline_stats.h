@@ -1,8 +1,9 @@
 // Instrumentation for the streaming frame pipeline: per-stage latency
 // accumulators (ingest / beamform / consume), sustained frame rate and
-// voxel throughput. The JSON emitter is what the bench trajectory files
-// (BENCH_runtime.json) are built from, so its keys are part of the bench
-// contract and should only grow, never be renamed.
+// voxel throughput. The JSON emitter is read by the imaging service's
+// session JSON (examples/imaging_service.cpp prints it) and pinned by
+// tests/runtime/test_pipeline_stats.cpp, so its keys should only grow,
+// never be renamed.
 #ifndef US3D_RUNTIME_PIPELINE_STATS_H
 #define US3D_RUNTIME_PIPELINE_STATS_H
 

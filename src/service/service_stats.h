@@ -1,9 +1,9 @@
 // Observability for the multi-session imaging service: per-session and
 // service-wide aggregation over runtime::PipelineStats, plus the QoS
 // vocabulary (priority classes, shedding policies) those numbers are
-// keyed by. The JSON emitters feed BENCH_service.json and operator
-// dashboards, so — like PipelineStats — keys only grow, never get
-// renamed.
+// keyed by. The JSON emitters feed examples/imaging_service.cpp and
+// operator dashboards, so — like PipelineStats — keys only grow, never
+// get renamed.
 //
 // The accounting contract every policy must reconcile to (and the tests
 // pin):

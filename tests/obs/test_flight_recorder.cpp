@@ -1,8 +1,9 @@
 // Flight-recorder contracts: a dump writes a complete bundle (manifest
 // last, all four artifacts valid JSON through the strict reader, trace
 // balanced), an unconfigured recorder is a safe no-op from failure
-// paths, the rate limiter drops (and counts) back-to-back dumps, and
-// retention keeps only the newest max_bundles bundles.
+// paths, the rate limiter drops (and counts) back-to-back dumps,
+// retention keeps only the newest max_bundles bundles, and ordinals keep
+// counting across recorders that share a directory.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -157,6 +158,34 @@ TEST_F(FlightRecorderTest, RetentionKeepsOnlyTheNewestBundles) {
   // Lexical order == dump order: the two newest survive.
   EXPECT_EQ(kept[0], "pm-000003-loop");
   EXPECT_EQ(kept[1], "pm-000004-loop");
+}
+
+TEST_F(FlightRecorderTest, OrdinalsAndRetentionSpanRecordersSharingADirectory) {
+  // Each recorder stands in for one process run; a staging directory left
+  // behind by an interrupted dump is neither a bundle nor counted.
+  fs::create_directories(dir_ / ".partial-1");
+  FlightRecorderOptions opts = options();
+  opts.max_bundles = 2;
+  const auto dump_once = [&](const std::string& reason) {
+    FlightRecorder recorder(opts);
+    return recorder.dump(reason);
+  };
+
+  ASSERT_NE(dump_once("session_failure"), "");
+  const std::string second = dump_once("session_failure");
+  ASSERT_NE(second, "");
+  EXPECT_EQ(bundles(),
+            (std::vector<std::string>{".partial-1",
+                                      "pm-000001-session_failure",
+                                      "pm-000002-session_failure"}));
+  EXPECT_EQ(parse_artifact(second, "manifest.json").at("bundle").as_string(),
+            "pm-000002-session_failure");
+
+  // Retention deletes the lowest ordinal, not the lexically first name.
+  ASSERT_NE(dump_once("manual"), "");
+  EXPECT_EQ(bundles(), (std::vector<std::string>{".partial-1",
+                                                 "pm-000002-session_failure",
+                                                 "pm-000003-manual"}));
 }
 
 }  // namespace

@@ -212,30 +212,36 @@ TEST(AsyncPipeline, CompoundedVolumesMatchTheSerialSumForEveryEngine) {
     auto prototype = c.make(cfg);
     FramePipeline pipeline(cfg, apod, *prototype,
                            PipelineConfig{.worker_threads = 2});
-    AsyncPipeline async(pipeline,
-                        AsyncOptions{.depth = 2, .compound_origins = kGroup});
-    for (EchoFrame& f : frames) ASSERT_TRUE(async.submit(std::move(f)));
-    std::vector<VolumeImage> received;
-    std::vector<std::int64_t> order;
-    const PipelineStats stats =
-        async.finish([&](const VolumeImage& v, std::int64_t seq) {
-          received.push_back(v);
-          order.push_back(seq);
-        });
-    async.rethrow_if_failed();
-    ASSERT_EQ(received.size(), compounds.size()) << c.label;
-    for (std::size_t g = 0; g < compounds.size(); ++g) {
-      // The compound volume is tagged with its last insonification.
-      EXPECT_EQ(order[g], static_cast<std::int64_t>((g + 1) * kGroup - 1))
-          << c.label;
-      expect_bit_identical(compounds[g], received[g],
-                           c.label + " compound " + std::to_string(g));
+    // Depth 1 (an input queue of one; the ring still gets the two slots
+    // compounding needs) is the tightest hand-off under compounding.
+    for (const int depth : {1, 2, 4}) {
+      const std::string label = c.label + " depth " + std::to_string(depth);
+      AsyncPipeline async(
+          pipeline, AsyncOptions{.depth = depth, .compound_origins = kGroup});
+      for (const EchoFrame& f : frames) ASSERT_TRUE(async.submit(f));
+      std::vector<VolumeImage> received;
+      std::vector<std::int64_t> order;
+      const PipelineStats stats =
+          async.finish([&](const VolumeImage& v, std::int64_t seq) {
+            received.push_back(v);
+            order.push_back(seq);
+          });
+      async.rethrow_if_failed();
+      ASSERT_EQ(received.size(), compounds.size()) << label;
+      for (std::size_t g = 0; g < compounds.size(); ++g) {
+        // The compound volume is tagged with its last insonification.
+        EXPECT_EQ(order[g], static_cast<std::int64_t>((g + 1) * kGroup - 1))
+            << label;
+        expect_bit_identical(compounds[g], received[g],
+                             label + " compound " + std::to_string(g));
+      }
+      EXPECT_EQ(stats.frames, kFrames / kGroup) << label;
+      EXPECT_EQ(stats.insonifications, kFrames) << label;
+      EXPECT_EQ(stats.dropped_frames, 0) << label;
+      // One compound record per shot summed.
+      EXPECT_EQ(stats.compound.count, kFrames) << label;
+      EXPECT_EQ(stats.beamform.count, kFrames) << label;
     }
-    EXPECT_EQ(stats.frames, kFrames / kGroup);
-    EXPECT_EQ(stats.insonifications, kFrames);
-    EXPECT_EQ(stats.dropped_frames, 0);
-    EXPECT_EQ(stats.compound.count, kFrames);  // one record per shot summed
-    EXPECT_EQ(stats.beamform.count, kFrames);
   }
 }
 

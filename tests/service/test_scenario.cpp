@@ -134,7 +134,7 @@ TEST(Scenario, NameEscapingSurvivesTheRoundTrip) {
   s.name = "weird \"name\" with \\ backslash\nand\tcontrol \x01 chars";
   const std::string json = s.to_json();
   // The emitted JSON must never contain a raw control character — that
-  // is what makes BENCH_service.json json.load()-able for any name.
+  // is what makes a session's JSON json.load()-able for any name.
   for (const char c : json) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
   }

@@ -1,5 +1,5 @@
 // ServiceStats / SessionStats: the JSON contract dashboards and
-// BENCH_service.json are built from (keys only grow), per-class latency
+// examples/imaging_service.cpp read (keys only grow), per-class latency
 // aggregation, and the enum name round-trips.
 #include "service/service_stats.h"
 
